@@ -68,17 +68,26 @@ const (
 	NumPageSizes
 )
 
-// Shift returns log2 of the page size in bytes.
+// pageShifts holds log2 of each page size in bytes, indexed by PageSize.
+var pageShifts = [NumPageSizes]uint{Page4K: PageShift4K, Page2M: PageShift2M, Page1G: PageShift1G}
+
+// Shift returns log2 of the page size in bytes. It is small enough to
+// inline, and so are Bytes, Mask and PageBase on top of it: they run on
+// every simulated access. The invalid-size panic stays cheap for the
+// inliner because its message is formatted only when printed.
 func (p PageSize) Shift() uint {
-	switch p {
-	case Page4K:
-		return PageShift4K
-	case Page2M:
-		return PageShift2M
-	case Page1G:
-		return PageShift1G
+	if p >= NumPageSizes {
+		panic(invalidPageSize(p))
 	}
-	panic(fmt.Sprintf("arch: invalid page size %d", p))
+	return pageShifts[p]
+}
+
+// invalidPageSize is the panic value of a PageSize method called on a
+// value that names no page size.
+type invalidPageSize PageSize
+
+func (e invalidPageSize) Error() string {
+	return fmt.Sprintf("arch: invalid page size %d", uint8(e))
 }
 
 // Bytes returns the page size in bytes.

@@ -195,3 +195,13 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
+
+func TestInvalidPageSizePanics(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || err.Error() != "arch: invalid page size 3" {
+			t.Errorf("Shift(NumPageSizes) panicked with %v", err)
+		}
+	}()
+	NumPageSizes.Shift()
+}

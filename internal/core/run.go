@@ -294,12 +294,13 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 // [startCycle, endCycle] on the unit's `refute` timeline track.
 func checkIdentities(cfg *RunConfig, m *machine.Machine, unit string, startCycle, endCycle uint64, r *RunResult, smp *perf.Sampler) refute.Outcome {
 	u := refute.Unit{
-		Name:       unit,
-		StartCycle: startCycle,
-		EndCycle:   endCycle,
-		Virt:       cfg.System.Virt.Enabled,
-		Counters:   r.Counters,
-		Metrics:    r.Metrics,
+		Name:         unit,
+		StartCycle:   startCycle,
+		EndCycle:     endCycle,
+		Virt:         cfg.System.Virt.Enabled,
+		WrongPathCap: wrongPathCap(m),
+		Counters:     r.Counters,
+		Metrics:      r.Metrics,
 	}
 	if smp != nil {
 		u.Sampling = true
@@ -325,6 +326,12 @@ func checkIdentities(cfg *RunConfig, m *machine.Machine, unit string, startCycle
 			r.Workload, v.Identity, v.L, v.R, v.Residual)
 	}
 	return out
+}
+
+// wrongPathCap is the per-flush wrong-path access cap m runs with: the
+// refute.Unit field that bounds wrong-path STLB hits.
+func wrongPathCap(m *machine.Machine) uint64 {
+	return uint64(max(m.Config().CPU.MaxWrongPathAccesses, 0))
 }
 
 // unitName builds the campaign-unique run unit name: workload, size

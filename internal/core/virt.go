@@ -257,12 +257,13 @@ func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
 		// The consolidation kernel bypasses Run, so it feeds the refute
 		// checker itself: same evidence shape, tenant-count unit name.
 		u := refute.Unit{
-			Name:       fmt.Sprintf("multi-tenant n=%d seed=%d%s", n, cfg.Seed, cfg.UnitTag),
-			StartCycle: startCycle,
-			EndCycle:   m.CycleCount(),
-			Virt:       true,
-			Counters:   delta,
-			Metrics:    mt,
+			Name:         fmt.Sprintf("multi-tenant n=%d seed=%d%s", n, cfg.Seed, cfg.UnitTag),
+			StartCycle:   startCycle,
+			EndCycle:     m.CycleCount(),
+			Virt:         true,
+			WrongPathCap: wrongPathCap(m),
+			Counters:     delta,
+			Metrics:      mt,
 		}
 		out := cfg.Refute.CheckUnit(u, m.TraceProcess())
 		cfg.Monitor.IdentityResults(uint64(out.Checked), uint64(len(out.Violations)))

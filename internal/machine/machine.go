@@ -515,9 +515,28 @@ func (m *Machine) Accesses() uint64 { return m.core.Accesses() }
 // instructions, cycles, TLB or cache state change. The page is mapped
 // quietly if needed. Workload *setup* (input generation) uses Poke/Peek;
 // it corresponds to the paper's untimed warmup run, keeping input
-// construction out of the measured region.
+// construction out of the measured region. It is PokeWords of one word.
 func (m *Machine) Poke64(va arch.VAddr, v uint64) {
-	m.phys.Write64(m.quietTranslate(va), v)
+	m.PokeWords(va, []uint64{v})
+}
+
+// PokeWords writes ws to consecutive words from va (8-byte aligned)
+// without simulating the accesses, like Poke64 word by word. It
+// translates once per 4 KB page the run covers, in ascending order, and
+// stores each page's words with one physical-memory write. The pages are
+// therefore first touched — demand-faulted, prefaulted on the tracer and
+// given physical frames — in exactly the order word-by-word pokes would
+// touch them.
+func (m *Machine) PokeWords(va arch.VAddr, ws []uint64) {
+	for len(ws) > 0 {
+		n := (arch.Page4K.Bytes() - uint64(va)&arch.Page4K.Mask()) / 8
+		if n > uint64(len(ws)) {
+			n = uint64(len(ws))
+		}
+		m.phys.WriteWords(m.quietTranslate(va), ws[:n])
+		va += arch.VAddr(n * 8)
+		ws = ws[n:]
+	}
 }
 
 // Peek64 reads the word at va without simulating the access.

@@ -323,6 +323,23 @@ func (p *Phys) Write64(pa arch.PAddr, v uint64) {
 	binary.LittleEndian.PutUint64(c[off:off+8], v)
 }
 
+// WriteWords stores ws as consecutive 8-byte words from pa, which must be
+// 8-byte aligned. The run must stay inside one 4 KB chunk, so it costs one
+// chunk-directory lookup however long it is.
+func (p *Phys) WriteWords(pa arch.PAddr, ws []uint64) {
+	off := uint64(pa) & (chunkBytes - 1)
+	if pa&7 != 0 || uint64(len(ws)) > (chunkBytes-off)/8 {
+		panic(fmt.Sprintf("mem: WriteWords(%#x) of %d words leaves its 4 KB chunk or is unaligned", uint64(pa), len(ws)))
+	}
+	if len(ws) == 0 {
+		return
+	}
+	b := p.chunk(pa)[off : off+8*uint64(len(ws))]
+	for i, w := range ws {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+}
+
 // CopyRange copies n bytes from src to dst (both chunk-aligned, n a
 // multiple of the chunk size). Untouched source chunks are skipped — the
 // destination reads as zero there anyway.

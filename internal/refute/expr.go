@@ -79,7 +79,8 @@ func Metric(name string) Expr {
 // fieldTable maps observability-scalar names to Unit fields. These
 // cover the state that is not a PMU counter but participates in
 // accounting identities: the sample ring's capacity and drop counts,
-// and the aggregate event mass the drained samples stand for.
+// the aggregate event mass the drained samples stand for, and the
+// machine's per-flush wrong-path access cap.
 var fieldTable = map[string]func(*Unit) float64{
 	"samples_drained":       func(u *Unit) float64 { return float64(u.SamplesDrained) },
 	"samples_captured":      func(u *Unit) float64 { return float64(u.SamplesCaptured) },
@@ -89,6 +90,7 @@ var fieldTable = map[string]func(*Unit) float64{
 	"sample_dropped_weight": func(u *Unit) float64 { return float64(u.SampleDroppedWeight) },
 	"sample_events_total":   func(u *Unit) float64 { return float64(u.SampleEventsTotal) },
 	"sample_slack":          func(u *Unit) float64 { return float64(u.SampleSlack) },
+	"wrong_path_cap":        func(u *Unit) float64 { return float64(u.WrongPathCap) },
 }
 
 // Field references a per-unit observability scalar by name. Unknown

@@ -23,12 +23,12 @@ func FuzzIdentityEval(f *testing.F) {
 	ids := Identities()
 	f.Fuzz(func(t *testing.T, data []byte, virt, sampling bool) {
 		u := Unit{Name: "fuzz", Virt: virt, Sampling: sampling, EndCycle: 1}
-		// The first 8 words (when present) drive the ring accounting,
-		// the rest scatter over the counter vector.
+		// The first 9 words (when present) drive the ring accounting
+		// and the wrong-path cap, the rest scatter over the counter vector.
 		fields := []*uint64{
 			&u.SamplesDrained, &u.SamplesCaptured, &u.SamplesDropped,
 			&u.SampleCapacity, &u.SampleWeight, &u.SampleDroppedWeight,
-			&u.SampleEventsTotal, &u.SampleSlack,
+			&u.SampleEventsTotal, &u.SampleSlack, &u.WrongPathCap,
 		}
 		for i := 0; i+8 <= len(data); i += 8 {
 			v := binary.LittleEndian.Uint64(data[i : i+8])

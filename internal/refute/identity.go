@@ -22,6 +22,9 @@ type Unit struct {
 	// Sampling marks units that ran with the PEBS-style sampler armed
 	// (scopes the ring-accounting identities).
 	Sampling bool
+	// WrongPathCap is the most wrong-path accesses one pipeline flush
+	// issues (the machine's CPU.MaxWrongPathAccesses; 0 when none run).
+	WrongPathCap uint64
 	// Counters is the measured region's counter delta.
 	Counters perf.Counters
 	// Metrics is the derived-metric view of Counters.
@@ -220,10 +223,14 @@ func Identities() []Identity {
 			Rel: LE, R: dtlbWalkDuration,
 		},
 		{
+			// Retired accesses each hit the STLB at most once. So does
+			// every wrong-path access, and a pipeline flush (mispredict
+			// or machine clear) issues at most <wrong_path_cap> of those.
 			Name: "stlb_hits_bound_misses",
 			Doc:  "first-level TLB misses split into STLB hits and initiated walks; both are bounded by accesses plus walker traffic",
 			L:    Sum(Ev("dtlb_load_misses.stlb_hit"), Ev("dtlb_store_misses.stlb_hit")), Rel: LE,
-			R: Sum(accesses, walksInitiated),
+			R: Sum(accesses, walksInitiated,
+				Mul(Sum(Ev("br_misp_retired.all_branches"), Ev("machine_clears.count")), Field("wrong_path_cap"))),
 		},
 		{
 			Name: "ept_initiated_ge_completed",

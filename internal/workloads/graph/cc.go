@@ -25,9 +25,7 @@ func newCC(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 }
 
 func (c *cc) reset() {
-	for i := uint64(0); i < c.g.N; i++ {
-		c.comp.Poke(i, i)
-	}
+	c.comp.Fill(c.g.N, func(i uint64) uint64 { return i })
 }
 
 func (c *cc) Run(budget uint64) {

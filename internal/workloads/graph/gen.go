@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"atscale/internal/workloads"
@@ -110,7 +111,7 @@ func buildHostCSR(n uint64, edges []edge) hostCSR {
 		newOff[u] = w
 		lo, hi := off[u], off[u+1]
 		list := nbr[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		var last uint32
 		first := true
 		for _, v := range list {
@@ -135,12 +136,13 @@ func (g hostCSR) relabelByDegree() hostCSR {
 		order[i] = uint32(i)
 	}
 	degOf := func(u uint32) uint64 { return g.off[u+1] - g.off[u] }
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := degOf(order[i]), degOf(order[j])
-		if di != dj {
-			return di > dj
+	// Descending degree, ties by ascending ID: a total order, so the
+	// unstable sort has one possible result.
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := cmp.Compare(degOf(b), degOf(a)); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	newID := make([]uint32, g.n)
 	for rank, old := range order {
@@ -155,8 +157,7 @@ func (g hostCSR) relabelByDegree() hostCSR {
 			out.nbr[w] = newID[g.nbr[e]]
 			w++
 		}
-		list := out.nbr[out.off[rank]:w]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(out.nbr[out.off[rank]:w])
 	}
 	out.off[g.n] = w
 	return out

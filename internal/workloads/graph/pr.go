@@ -35,9 +35,7 @@ func newPR(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 		return nil, err
 	}
 	init := math.Float64bits(1 / float64(g.N))
-	for i := uint64(0); i < g.N; i++ {
-		rank.Poke(i, init)
-	}
+	rank.Fill(g.N, func(uint64) uint64 { return init })
 	return &pr{m: m, g: g, rank: rank, next: next}, nil
 }
 

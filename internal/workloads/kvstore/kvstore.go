@@ -90,6 +90,7 @@ func (s *store) hash(key uint64) uint64 {
 // would be in (the paper's warmup dry run).
 func (s *store) warmFill() {
 	seen := make(map[uint64]bool, s.capacity)
+	var val [valueWords]uint64
 	slot := uint64(0)
 	for slot < s.capacity {
 		key := s.rng.Intn(keyspace())
@@ -102,9 +103,10 @@ func (s *store) warmFill() {
 		s.next.Poke(slot, head)
 		s.buckets.Poke(h, slot+1)
 		s.keys.Poke(slot, key)
-		for w := uint64(0); w < valueWords; w++ {
-			s.vals.Poke(slot*valueWords+w, key^w)
+		for w := range val {
+			val[w] = key ^ uint64(w)
 		}
+		s.vals.PokeRun(slot*valueWords, val[:])
 		slot++
 	}
 }

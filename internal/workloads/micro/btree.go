@@ -101,13 +101,14 @@ func newBTree(m *machine.Machine, nkeys uint64) (workloads.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, n := range nodes {
-		base := uint64(i) * nodeWords
-		for j := 0; j < btreeFanout; j++ {
-			arr.Poke(base+uint64(j), n.keys[j])
-			arr.Poke(base+uint64(btreeFanout+j), n.children[j])
+	// Node i's words are its keys then its children.
+	arr.Fill(uint64(len(nodes))*nodeWords, func(w uint64) uint64 {
+		n, j := &nodes[w/nodeWords], w%nodeWords
+		if j < btreeFanout {
+			return n.keys[j]
 		}
-	}
+		return n.children[j-btreeFanout]
+	})
 	return &btree{m: m, nodes: arr, root: level[0], keys: keys, rng: rng}, nil
 }
 

@@ -30,9 +30,7 @@ func newGUPS(m *machine.Machine, logBytes uint64) (workloads.Instance, error) {
 	}
 	// HPCC initializes table[i] = i (untimed here, as in the timed-kernel
 	// methodology).
-	for i := uint64(0); i < words; i++ {
-		table.Poke(i, i)
-	}
+	table.Fill(words, func(i uint64) uint64 { return i })
 	return &gups{m: m, table: table, x: 0x2545F4914F6CDD1D}, nil
 }
 

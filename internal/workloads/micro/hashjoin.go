@@ -68,13 +68,12 @@ func newHashJoin(m *machine.Machine, nbuild uint64) (workloads.Instance, error) 
 		h.next.Poke(i, h.buckets.Peek(b))
 		h.buckets.Poke(b, i+1)
 	}
-	for i := uint64(0); i < probeFactor*nbuild; i++ {
+	h.probeKeys.Fill(probeFactor*nbuild, func(uint64) uint64 {
 		if h.rng.Float64() < matchShare {
-			h.probeKeys.Poke(i, buildKeys[h.rng.Intn(nbuild)])
-		} else {
-			h.probeKeys.Poke(i, h.rng.Next()|1<<63) // guaranteed miss half
+			return buildKeys[h.rng.Intn(nbuild)]
 		}
-	}
+		return h.rng.Next() | 1<<63 // guaranteed miss half
+	})
 	return h, nil
 }
 

@@ -52,9 +52,7 @@ func newCluster(m *machine.Machine, npoints uint64) (*cluster, error) {
 	if c.centers, err = workloads.NewArray(m, maxCenters*dim); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < npoints*dim; i++ {
-		c.points.Poke(i, math.Float64bits(c.rng.Float64()))
-	}
+	c.points.Fill(npoints*dim, func(uint64) uint64 { return math.Float64bits(c.rng.Float64()) })
 	// Seed the first center with point 0.
 	for d := uint64(0); d < dim; d++ {
 		c.centers.Poke(d, c.points.Peek(d))
