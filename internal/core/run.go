@@ -185,6 +185,9 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 			return RunResult{}, err
 		}
 	}
+	// However the unit ends, its machine goes back to the pool or is
+	// released.
+	defer cfg.machines.release(m)
 	if cfg.EnablePromotion && ps == arch.Page4K {
 		m.EnablePromotion(machine.DefaultPromotionConfig())
 	}
@@ -283,7 +286,6 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 	}
 	cfg.logf("  run %-22s param=%-8d %-4s footprint=%-9s cpi=%.3f wcpi=%.4f",
 		r.Workload, r.Param, ps, arch.FormatBytes(r.Footprint), r.Metrics.CPI, r.Metrics.WCPI)
-	cfg.machines.release(m)
 	return r, nil
 }
 

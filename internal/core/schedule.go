@@ -42,7 +42,8 @@ type machinePool struct {
 func newMachinePool(max int) *machinePool { return &machinePool{max: max} }
 
 // acquire returns a renewed machine matching sys, or nil when the pool
-// has no match (the caller builds a fresh one). Nil-safe.
+// has no match (the caller builds a fresh one). A match that fails to
+// renew is released. Nil-safe.
 func (p *machinePool) acquire(sys arch.SystemConfig, policy arch.PageSize, seed int64) *machine.Machine {
 	if p == nil {
 		return nil
@@ -58,23 +59,28 @@ func (p *machinePool) acquire(sys arch.SystemConfig, policy arch.PageSize, seed 
 		}
 	}
 	p.mu.Unlock()
-	if m == nil || !m.Renew(policy, seed) {
+	if m != nil && !m.Renew(policy, seed) {
+		m.Release()
 		return nil
 	}
 	return m
 }
 
-// release parks a finished unit's machine for reuse (dropped when the
-// pool is full or the machine is not poolable). Nil-safe.
+// release parks a finished unit's machine for reuse, or releases its
+// memory when the pool is full, nil, or the machine is not poolable.
 func (p *machinePool) release(m *machine.Machine) {
-	if p == nil || !m.Poolable() {
-		return
+	if p != nil && m.Poolable() {
+		p.mu.Lock()
+		kept := len(p.free) < p.max
+		if kept {
+			p.free = append(p.free, m)
+		}
+		p.mu.Unlock()
+		if kept {
+			return
+		}
 	}
-	p.mu.Lock()
-	if len(p.free) < p.max {
-		p.free = append(p.free, m)
-	}
-	p.mu.Unlock()
+	m.Release()
 }
 
 // parallelism resolves the configured worker count.

@@ -204,6 +204,7 @@ func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
 	if err != nil {
 		return VirtTenantRow{}, err
 	}
+	defer m.Release()
 	for t := 1; t < n; t++ {
 		if _, err := m.AddTenant(); err != nil {
 			return VirtTenantRow{}, err

@@ -142,7 +142,7 @@ func (c *Core) Reset(seed int64) {
 	c.ctr = perf.Counters{}
 	c.cr3, c.fault = 0, nil
 	c.pred.reset()
-	c.rng = rand.New(rand.NewSource(seed))
+	c.rng.Seed(seed) // the state rand.NewSource(seed) starts in
 	c.cycleFrac = 0
 	c.recentLat = 0
 	c.ringLen, c.ringPos = 0, 0

@@ -261,6 +261,12 @@ func (m *Machine) Renew(policy arch.PageSize, seed int64) bool {
 	return true
 }
 
+// Release frees the host memory backing the machine's physical memory,
+// which lives outside the Go heap. The machine is unusable afterwards.
+// Release is idempotent; a machine never released is freed when the
+// garbage collector finds it unreachable.
+func (m *Machine) Release() { m.phys.Release() }
+
 // faultHandler wraps an address space's demand-fault path. On virtualized
 // machines it additionally books the EPT violations the guest fault
 // induced (first touches of guest-physical blocks) as the ept.violations

@@ -99,7 +99,7 @@ func TestPokeWordsMatchesPoke64(t *testing.T) {
 			if len(lb.pages) == 0 {
 				t.Fatal("no page was prefaulted")
 			}
-			if !reflect.DeepEqual(batched.phys, single.phys) {
+			if !batched.phys.Equal(single.phys) {
 				t.Fatal("physical memory differs")
 			}
 			if b, s := batched.PageTableBytes(), single.PageTableBytes(); b != s {

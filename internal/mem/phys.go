@@ -2,13 +2,24 @@
 // allocator for all three x86-64 page sizes and a sparsely backed byte
 // store. Backing chunks are materialized lazily on first touch, so a guest
 // may reserve far more physical memory than the host process ever commits
-// (a 1 GB guest superpage costs host memory only for the 4 KB chunks the
+// (a 1 GB guest superpage costs host memory only for the chunks the
 // workload actually writes).
+//
+// The 4 KB chunks are carved, in touch order, from host slabs mapped
+// outside the Go heap, 2 MB-aligned and advised for transparent huge
+// pages (slab_linux.go); elsewhere, or when mapping fails, slabs come from
+// make. Host memory therefore grows in the 2 MB huge pages the carved
+// chunks fall in, not chunk by chunk: a Phys that touched one chunk holds
+// one 2 MB page. Mapped slabs are not garbage collected. Phys.Release
+// unmaps them, and a cleanup does so for a Phys that becomes unreachable
+// unreleased; HostMappedBytes gauges what is mapped.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 
 	"atscale/internal/arch"
 )
@@ -67,17 +78,24 @@ type Phys struct {
 
 	// dir is the chunk directory spine, indexed by pa >> (chunkShift +
 	// groupShift). Entries are nil until a chunk in the group is written.
+	// Release sets it to nil, which marks p released.
+	//
+	//atlint:noreset Reset empties the groups but keeps the spine; only Release drops it, for good
 	dir []*group
 
-	// slab is the current host allocation chunks are carved from;
-	// slab-carving keeps the Go allocator out of the per-chunk path.
-	//
-	//atlint:noreset leftover slab capacity is still-zeroed host memory; carving the next chunk from it is identical to carving from a fresh slab
-	slab []byte
+	// spare holds chunks a Reset or a superpage free took out of the
+	// directory. They keep their old contents; chunk clears one when it
+	// hands it out again, so a Reset costs a directory scan, not a clear
+	// of everything the last unit touched.
+	spare []*[chunkBytes]byte
 
-	// touched counts backing chunks materialized (host-memory telemetry).
-	//
-	//atlint:noreset Reset clears chunk contents but does not release them, so the lifetime materialization count stays accurate
+	// host owns the slabs chunks are carved from.
+	host *host
+
+	// cleanup unmaps host when p becomes unreachable unreleased.
+	cleanup runtime.Cleanup
+
+	// touched counts the chunks materialized in the directory.
 	touched uint64
 }
 
@@ -91,10 +109,6 @@ type nodeAlloc struct {
 	// free holds returned frames per page size.
 	free [arch.NumPageSizes][]arch.PAddr
 }
-
-// slabSize is the host allocation granularity backing chunks are carved
-// from (256 chunks per slab).
-const slabSize = 256 << chunkShift
 
 // NewPhys returns a UMA physical memory of the given capacity in bytes.
 func NewPhys(limitBytes uint64) *Phys { return NewPhysNUMA(limitBytes, 1) }
@@ -111,7 +125,9 @@ func NewPhysNUMA(limitBytes uint64, nodes int) *Phys {
 	p := &Phys{
 		limit: limitBytes,
 		dir:   make([]*group, (physBase+limitBytes+groupBytes-1)>>(chunkShift+groupShift)),
+		host:  &host{},
 	}
+	p.cleanup = runtime.AddCleanup(p, (*host).release, p.host)
 	if nodes == 1 {
 		p.nodes = []nodeAlloc{{start: physBase, end: physBase + limitBytes, next: physBase}}
 		return p
@@ -164,6 +180,7 @@ func (p *Phys) AllocPage(ps arch.PageSize) (arch.PAddr, error) {
 // AllocPageOnNode allocates one naturally aligned zeroed frame from the
 // given NUMA node's region.
 func (p *Phys) AllocPageOnNode(ps arch.PageSize, node int) (arch.PAddr, error) {
+	p.checkLive()
 	if node < 0 || node >= len(p.nodes) {
 		return 0, fmt.Errorf("mem: no NUMA node %d (have %d)", node, len(p.nodes))
 	}
@@ -193,6 +210,7 @@ func (p *Phys) AllocPageOnNode(ps arch.PageSize, node int) (arch.PAddr, error) {
 // whose region holds it). The caller must pass the same base address and
 // page size that AllocPage returned.
 func (p *Phys) FreePage(pa arch.PAddr, ps arch.PageSize) {
+	p.checkLive()
 	if !arch.IsAligned(uint64(pa), ps.Bytes()) {
 		panic(fmt.Sprintf("mem: FreePage(%#x) misaligned for %s", uint64(pa), ps))
 	}
@@ -210,25 +228,26 @@ func (p *Phys) FreePage(pa arch.PAddr, ps arch.PageSize) {
 // class).
 func (p *Phys) ReservedBytes() uint64 { return p.reserved }
 
-// TouchedBytes returns how much backing store has been materialized.
+// TouchedBytes returns how much backing store is materialized: the chunks
+// written since construction or the last Reset, less those dropped with
+// freed superpages.
 func (p *Phys) TouchedBytes() uint64 { return p.touched << chunkShift }
 
-// Reset returns the allocator to its initial state — every frame free,
-// the bump pointer back at physBase — while keeping materialized backing
-// chunks (zeroed in place) for the next tenant. Reuse is what makes
-// campaign machine pooling cheap: the next run's working set lands on
-// already-committed host memory instead of re-faulting it in.
+// Reset returns the memory to its initial state — every frame free, the
+// bump pointer back at physBase, every word zero — while keeping the
+// materialized backing chunks as spares for the next tenant. Reuse is
+// what makes campaign machine pooling cheap: the next run's working set
+// lands on already-committed host memory instead of re-faulting it in.
+// Reset only scans the directory; a spare is cleared when it is next
+// written, so a chunk the next tenant never writes is never cleared.
 func (p *Phys) Reset() {
+	p.checkLive()
 	for _, g := range p.dir {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.chunk {
-			if c != nil {
-				clear(c[:])
-			}
+		if g != nil {
+			p.spill(g)
 		}
 	}
+	p.touched = 0
 	for i := range p.nodes {
 		na := &p.nodes[i]
 		for ps := range na.free {
@@ -237,6 +256,83 @@ func (p *Phys) Reset() {
 		na.next = na.start
 	}
 	p.reserved = 0
+}
+
+// Release unmaps the host memory backing p. The Phys is unusable
+// afterwards: any later use panics rather than touch unmapped memory.
+// Release is idempotent.
+func (p *Phys) Release() {
+	if p.dir == nil {
+		return
+	}
+	p.cleanup.Stop()
+	p.host.release()
+	p.dir, p.spare, p.touched = nil, nil, 0
+}
+
+// Equal reports whether p and q are in the same state: capacity, NUMA
+// layout, allocator state, which chunks are materialized and what they
+// hold. Host slabs and spare chunks are not compared.
+func (p *Phys) Equal(q *Phys) bool {
+	p.checkLive()
+	q.checkLive()
+	if p.limit != q.limit || p.reserved != q.reserved || p.stride != q.stride ||
+		p.touched != q.touched || len(p.nodes) != len(q.nodes) || len(p.dir) != len(q.dir) {
+		return false
+	}
+	for i := range p.nodes {
+		a, b := &p.nodes[i], &q.nodes[i]
+		if a.start != b.start || a.end != b.end || a.next != b.next {
+			return false
+		}
+		for ps := range a.free {
+			if !slices.Equal(a.free[ps], b.free[ps]) {
+				return false
+			}
+		}
+	}
+	var empty group
+	for gi, g := range p.dir {
+		h := q.dir[gi]
+		if g == nil && h == nil {
+			continue
+		}
+		if g == nil {
+			g = &empty
+		}
+		if h == nil {
+			h = &empty
+		}
+		for i, c := range &g.chunk {
+			d := h.chunk[i]
+			if (c == nil) != (d == nil) || c != nil && *c != *d {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkLive panics if p was released.
+func (p *Phys) checkLive() {
+	if p.dir == nil {
+		panic("mem: use of a released Phys")
+	}
+}
+
+// spill moves g's chunks onto the spare list.
+func (p *Phys) spill(g *group) {
+	if g.live == 0 {
+		return
+	}
+	for i, c := range &g.chunk {
+		if c != nil {
+			p.spare = append(p.spare, c)
+			g.chunk[i] = nil
+		}
+	}
+	p.touched -= uint64(g.live)
+	g.live = 0
 }
 
 // OnNode returns a Memory view of p whose AllocPage draws frames from
@@ -260,8 +356,10 @@ func (v *nodeView) Read64(pa arch.PAddr) uint64              { return v.p.Read64
 func (v *nodeView) Write64(pa arch.PAddr, vv uint64)         { v.p.Write64(pa, vv) }
 func (v *nodeView) CopyRange(dst, src arch.PAddr, n uint64)  { v.p.CopyRange(dst, src, n) }
 
-// chunk returns the backing slice for pa, materializing it if needed.
+// chunk returns the backing slice for pa, materializing it if needed: a
+// spare chunk cleared now, or a fresh one carved from the host slab.
 func (p *Phys) chunk(pa arch.PAddr) *[chunkBytes]byte {
+	p.checkLive()
 	cn := uint64(pa) >> chunkShift
 	gi := cn >> groupShift
 	g := p.dir[gi]
@@ -271,11 +369,13 @@ func (p *Phys) chunk(pa arch.PAddr) *[chunkBytes]byte {
 	}
 	c := g.chunk[cn&(groupChunks-1)]
 	if c == nil {
-		if len(p.slab) < chunkBytes {
-			p.slab = make([]byte, slabSize)
+		if n := len(p.spare); n > 0 {
+			c = p.spare[n-1]
+			p.spare = p.spare[:n-1]
+			clear(c[:])
+		} else {
+			c = p.host.carve()
 		}
-		c = (*[chunkBytes]byte)(p.slab)
-		p.slab = p.slab[chunkBytes:]
 		g.chunk[cn&(groupChunks-1)] = c
 		g.live++
 		p.touched++
@@ -289,6 +389,9 @@ func (p *Phys) peek(pa arch.PAddr) *[chunkBytes]byte {
 	cn := uint64(pa) >> chunkShift
 	gi := cn >> groupShift
 	if gi >= uint64(len(p.dir)) {
+		// A released Phys has no directory, so every read lands here and
+		// the check costs the in-range path nothing.
+		p.checkLive()
 		return nil
 	}
 	g := p.dir[gi]
@@ -366,14 +469,13 @@ func (p *Phys) zeroRange(pa arch.PAddr, n uint64) {
 	}
 }
 
-// dropRange releases backing chunks in [pa, pa+n). Callers pass naturally
-// aligned superpage extents, so whole directory groups drop at once.
+// dropRange moves the backing chunks in [pa, pa+n) to the spare list.
+// Callers pass naturally aligned superpage extents, so whole directory
+// groups drop at once.
 func (p *Phys) dropRange(pa arch.PAddr, n uint64) {
 	for off := uint64(0); off < n; off += groupBytes {
-		gi := (uint64(pa) + off) >> (chunkShift + groupShift)
-		if g := p.dir[gi]; g != nil {
-			p.touched -= uint64(g.live)
-			p.dir[gi] = nil
+		if g := p.dir[(uint64(pa)+off)>>(chunkShift+groupShift)]; g != nil {
+			p.spill(g)
 		}
 	}
 }

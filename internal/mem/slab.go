@@ -1,0 +1,66 @@
+package mem
+
+import "sync/atomic"
+
+// slabBytes is the size of a mapped host slab: sixteen 2 MB huge pages.
+// Only the huge pages chunks have been carved from are ever touched, so
+// the slab size bounds the number of mappings, not host memory.
+const slabBytes = 32 << 20
+
+// hugeBytes is the alignment of mapped slabs, the 2 MB huge page.
+const hugeBytes = 2 << 20
+
+// heapSlabBytes is the size of a slab allocated with make when no mapping
+// is available (256 chunks).
+const heapSlabBytes = 256 << chunkShift
+
+// mapSlab maps size bytes of zeroed host memory outside the Go heap,
+// hugeBytes-aligned and advised for transparent huge pages, and returns
+// it with the function that unmaps it. When it fails, as it always does
+// on platforms without such mappings, slabs come from make. Tests swap it
+// to exercise that fallback.
+var mapSlab = platformMapSlab
+
+// hostMapped is the HostMappedBytes gauge, updated on every map and unmap.
+var hostMapped atomic.Int64
+
+// HostMappedBytes returns how many bytes of address space the process
+// holds mapped outside the Go heap for Phys backing; only the huge pages
+// chunks were carved from are resident. The Go runtime's memory
+// statistics do not include them.
+func HostMappedBytes() int64 { return hostMapped.Load() }
+
+// host is the host memory one Phys carves chunks from. It is its own
+// object, holding no reference to the Phys, so that the Phys's cleanup
+// can take it as argument.
+type host struct {
+	// slab is what is left to carve of the newest slab.
+	slab []byte
+	// unmaps holds one unmap function per mapped slab.
+	unmaps []func()
+}
+
+// carve returns a fresh zeroed chunk from the current slab, starting a new
+// slab when it runs out.
+func (h *host) carve() *[chunkBytes]byte {
+	if len(h.slab) < chunkBytes {
+		if s, unmap, err := mapSlab(slabBytes); err == nil {
+			h.slab = s
+			h.unmaps = append(h.unmaps, unmap)
+		} else {
+			h.slab = make([]byte, heapSlabBytes)
+		}
+	}
+	c := (*[chunkBytes]byte)(h.slab)
+	h.slab = h.slab[chunkBytes:]
+	return c
+}
+
+// release unmaps every mapped slab. Slabs from make are left to the
+// garbage collector.
+func (h *host) release() {
+	for _, unmap := range h.unmaps {
+		unmap()
+	}
+	h.slab, h.unmaps = nil, nil
+}
