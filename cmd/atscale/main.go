@@ -193,17 +193,9 @@ func run() error {
 	}
 	var stopTelemetry func()
 	if *telem != "" {
-		mon := telemetry.NewMonitor()
-		cfg.Monitor = mon
-		var hub *telemetry.Hub
-		if *telem != "stderr" {
-			// HTTP mode streams per-unit completion events to the
-			// dashboard; the hub is the only consumer, so stderr mode
-			// skips the per-unit publish entirely.
-			hub = telemetry.NewHub()
-			cfg.Events = hub
-		}
-		stop, err := startTelemetry(*telem, mon, hub)
+		hub := telemetry.NewHub()
+		cfg.Events = hub
+		stop, err := startTelemetry(*telem, hub)
 		if err != nil {
 			return err
 		}

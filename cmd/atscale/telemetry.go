@@ -6,9 +6,9 @@ package main
 // wall clock or the network lives here, in an exempt cmd package, so the
 // simulator proper (internal/telemetry included) stays free of
 // nondeterminism. The heartbeat loops and the HTTP server only ever
-// *snapshot* the monitor's atomics and drain the event hub; they perturb
-// no simulation state. Wall-clock readings enter the monitor as plain
-// int64 nanos via ObserveThroughput, which keeps the throughput gauge in
+// read the hub's fold and drain its events; they perturb no simulation
+// state. Wall-clock readings enter the hub as plain int64 nanos via
+// ObserveThroughput, which keeps the throughput gauge in
 // internal/telemetry clock-free and unit-testable.
 
 import (
@@ -31,43 +31,30 @@ const heartbeatPeriod = time.Second
 // the dashboard (GET /), stats snapshots (GET /stats) and the live SSE
 // event feed (GET /events) — and returns a stop function that emits a
 // final consistent snapshot / shuts the server down before returning.
-func startTelemetry(mode string, mon *telemetry.Monitor, hub *telemetry.Hub) (func(), error) {
-	if mode == "stderr" {
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(heartbeatPeriod)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					mon.ObserveThroughput(time.Now().UnixNano())
-					os.Stderr.Write(append(mon.Snapshot().JSON(), '\n'))
-				}
-			}
-		}()
-		return func() {
-			close(done)
-			wg.Wait()
-			// Final heartbeat so short campaigns still emit one line.
-			mon.ObserveThroughput(time.Now().UnixNano())
-			os.Stderr.Write(append(mon.Snapshot().JSON(), '\n'))
-		}, nil
+// Either mode ticks the cycles/sec throughput gauge, which needs
+// periodic wall-clock observations even when no dashboard is polling.
+func startTelemetry(mode string, hub *telemetry.Hub) (func(), error) {
+	var srv *http.Server
+	if mode != "stderr" {
+		ln, err := net.Listen("tcp", mode)
+		if err != nil {
+			return nil, fmt.Errorf("-telemetry %q: %w", mode, err)
+		}
+		srv = &http.Server{Handler: telemetry.NewHandler(hub)}
+		go srv.Serve(ln)
+		fmt.Fprintf(os.Stderr, "telemetry: dashboard on http://%s/ (stats: /stats, live events: /events)\n", ln.Addr())
 	}
-	ln, err := net.Listen("tcp", mode)
-	if err != nil {
-		return nil, fmt.Errorf("-telemetry %q: %w", mode, err)
+	heartbeat := func() {
+		hub.ObserveThroughput(time.Now().UnixNano())
+		if srv == nil {
+			os.Stderr.Write(append(hub.Stats().JSON(), '\n'))
+		}
 	}
-	srv := &http.Server{Handler: telemetry.NewHandler(mon, hub)}
-	go srv.Serve(ln)
-	// The throughput gauge needs periodic wall-clock observations even
-	// when no dashboard is polling; tick them here.
 	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		tick := time.NewTicker(heartbeatPeriod)
 		defer tick.Stop()
 		for {
@@ -75,14 +62,19 @@ func startTelemetry(mode string, mon *telemetry.Monitor, hub *telemetry.Hub) (fu
 			case <-done:
 				return
 			case <-tick.C:
-				mon.ObserveThroughput(time.Now().UnixNano())
+				heartbeat()
 			}
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "telemetry: dashboard on http://%s/ (stats: /stats, live events: /events)\n", ln.Addr())
 	return func() {
 		close(done)
-		srv.Close()
+		wg.Wait()
+		if srv != nil {
+			srv.Close()
+			return
+		}
+		// Final heartbeat so short campaigns still emit one line.
+		heartbeat()
 	}, nil
 }
 

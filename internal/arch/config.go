@@ -229,8 +229,9 @@ type SystemConfig struct {
 
 	// Scheme selects the translation-scheme backend (internal/scheme):
 	// "" or "radix" (default; byte-identical to the hard-wired walker),
-	// "victima", "mitosis", or "dramcache". Nested-paging and hashed
-	// machines predate the scheme seam and ignore it.
+	// "victima", "mitosis", or "dramcache". The non-radix schemes pair
+	// with native radix machines only: Validate rejects them on
+	// nested-paging or hashed machines.
 	Scheme string
 
 	// NUMA configures the NUMA node dimension; the zero value is UMA.

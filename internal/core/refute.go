@@ -111,7 +111,11 @@ func RefuteExperiment(s *Session) (*RefuteResult, error) {
 		}
 		switch {
 		case v.tenants > 0:
-			if _, err := runMultiTenant(&cfg, v.tenants); err != nil {
+			err := forEachUnit(&cfg, 1, func(int) error {
+				_, err := runMultiTenant(&cfg, v.tenants)
+				return err
+			})
+			if err != nil {
 				return nil, fmt.Errorf("refute variant %s: %w", v.name, err)
 			}
 		case v.only4K:

@@ -104,6 +104,7 @@ func TestRefuteExperimentRuns(t *testing.T) {
 	// experiment's per-variant checkers do, and Absorb panics on a
 	// registry-length mismatch by design.
 	cfg.Refute = NewCampaignChecker()
+	cfg.Events = telemetry.NewHub()
 	s := NewSession(cfg)
 	res, err := RefuteExperiment(s)
 	if err != nil {
@@ -133,14 +134,25 @@ func TestRefuteExperimentRuns(t *testing.T) {
 	if got := cfg.Refute.Report().Units; got == 0 {
 		t.Error("session checker absorbed no units")
 	}
+	// Every variant's units, the tenant kernels included, were counted
+	// and finished on the live hub.
+	st := cfg.Events.Stats()
+	if st.UnitsStarted != st.UnitsTotal || st.UnitsDone != st.UnitsTotal || st.BusyWorkers != 0 {
+		t.Errorf("live stats started/done/total/busy = %d/%d/%d/%d",
+			st.UnitsStarted, st.UnitsDone, st.UnitsTotal, st.BusyWorkers)
+	}
+	if st.IdentitiesChecked == 0 || st.IdentitiesViolated != 0 {
+		t.Errorf("live identity counts %d checked, %d violated", st.IdentitiesChecked, st.IdentitiesViolated)
+	}
 }
 
-// TestRefuteMonitorCounts: identity results reach the live Monitor
-// snapshot — the mid-campaign view the heartbeat and /stats expose.
-func TestRefuteMonitorCounts(t *testing.T) {
+// TestRefuteHubCounts: identity results reach the live hub's stats —
+// the mid-campaign view the heartbeat and /stats expose — through the
+// unit's event.
+func TestRefuteHubCounts(t *testing.T) {
 	cfg := testConfig()
 	cfg.Refute = refute.NewChecker()
-	cfg.Monitor = telemetry.NewMonitor()
+	cfg.Events = telemetry.NewHub()
 	spec, err := workloads.ByName("stride-synth")
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +160,16 @@ func TestRefuteMonitorCounts(t *testing.T) {
 	if _, err := Run(&cfg, spec, 20, policies[0]); err != nil {
 		t.Fatal(err)
 	}
-	snap := cfg.Monitor.Snapshot()
+	snap := cfg.Events.Stats()
 	if snap.IdentitiesChecked == 0 {
-		t.Error("monitor saw no identity checks")
+		t.Error("hub saw no identity checks")
 	}
 	if snap.IdentitiesViolated != 0 {
-		t.Errorf("monitor reports %d violations on a clean run", snap.IdentitiesViolated)
+		t.Errorf("hub reports %d violations on a clean run", snap.IdentitiesViolated)
+	}
+	events := cfg.Events.History()
+	if len(events) != 1 || events[0].IdentitiesChecked != snap.IdentitiesChecked {
+		t.Errorf("identity results not carried by the unit event: %d events, stats %+v", len(events), snap)
 	}
 }
 

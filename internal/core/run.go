@@ -78,25 +78,23 @@ type RunConfig struct {
 	// runs and across serial/parallel schedules. Nil leaves tracing off
 	// at zero allocation cost on the simulation hot paths.
 	Trace *telemetry.Tracer
-	// Monitor, when non-nil, receives live campaign progress (unit
-	// starts/completions, worker occupancy, aggregate counter deltas);
-	// the CLIs' heartbeat loops snapshot it. Nil disables the hooks.
-	Monitor *telemetry.Monitor
 	// Refute, when non-nil, evaluates the declared counter-identity
 	// registry against every run unit's measured delta as it completes.
 	// Violations are pinned to the unit's cycle range on a `refute`
-	// timeline track (when tracing), counted into the Monitor, and
-	// aggregated into the checker's deterministic report.
+	// timeline track (when tracing), carried in the unit's live event,
+	// and aggregated into the checker's deterministic report.
 	Refute *refute.Checker
 	// Topdown, when non-nil, folds every completed unit's counter delta
 	// into the attribution collector (per-unit, per-scheme-group, and
 	// campaign-wide cycle attribution trees; atscale -topdown /
 	// -topdown-diff render them). Nil skips collection entirely.
 	Topdown *TopdownCollector
-	// Events, when non-nil, receives one streaming UnitEvent per
-	// completed unit (headline metrics, campaign progress, flattened
-	// attribution tree); the telemetry HTTP layer fans it out over SSE.
-	// Nil skips event construction entirely.
+	// Events, when non-nil, is the live campaign sink: it receives one
+	// UnitEvent per completed unit (headline metrics, counter deltas,
+	// identity results, flattened attribution tree) plus the
+	// scheduler's unit-start, total and worker signals, and folds them
+	// into the stats behind /stats and the heartbeat. Nil skips event
+	// construction entirely.
 	Events *telemetry.Hub
 	// UnitTag is appended verbatim to every unit name. Campaigns that
 	// re-run identically-parameterized units under config variants the
@@ -197,7 +195,7 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 	// (workload, param, page size) units within one campaign.
 	unit := unitName(cfg, spec, param, ps)
 	m.EnableTrace(cfg.Trace, unit)
-	cfg.Monitor.UnitStarted()
+	cfg.Events.UnitStarted()
 	inst, err := spec.Instantiate(m, param)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: building %s param %d: %w", spec.Name(), param, err)
@@ -244,15 +242,16 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 		r.SampleDropped = smp.Dropped()
 		r.SampleDroppedWeight = smp.DroppedWeight()
 	}
-	walkCycles := delta.Get(perf.DTLBLoadWalkDuration) + delta.Get(perf.DTLBStoreWalkDuration)
+	ev := unitEvent(unit, delta, r.Metrics)
 	stats := []telemetry.UnitStat{
 		{Name: "wcpi", Val: r.Metrics.WCPI},
 		{Name: "cpi", Val: r.Metrics.CPI},
-		{Name: "walk_cycles", Val: float64(walkCycles)},
-		{Name: "instructions", Val: float64(delta.Get(perf.InstRetired))},
+		{Name: "walk_cycles", Val: float64(ev.WalkCycles)},
+		{Name: "instructions", Val: float64(ev.Instructions)},
 	}
 	if cfg.Refute != nil {
 		out := checkIdentities(cfg, m, unit, startCycle, endCycle, &r, smp)
+		ev.IdentitiesChecked, ev.IdentitiesViolated = uint64(out.Checked), uint64(len(out.Violations))
 		stats = append(stats,
 			telemetry.UnitStat{Name: "identities_checked", Val: float64(out.Checked)},
 			telemetry.UnitStat{Name: "identities_violated", Val: float64(len(out.Violations))})
@@ -265,25 +264,8 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 		Cycles: m.CycleCount(),
 		Stats:  stats,
 	})
-	cfg.Monitor.UnitDone(delta.Get(perf.InstRetired), delta.Get(perf.Cycles), walkCycles)
 	cfg.Topdown.Add(topdownGroup(cfg), unit, delta)
-	if cfg.Events != nil {
-		// The streaming event embeds the unit's flattened attribution
-		// tree; building it costs a few hundred Expr evals per *unit*
-		// (not per access) and only when streaming is armed.
-		snap := cfg.Monitor.Snapshot()
-		cfg.Events.Publish(telemetry.UnitEvent{
-			Unit:         unit,
-			CPI:          r.Metrics.CPI,
-			WCPI:         r.Metrics.WCPI,
-			Cycles:       delta.Get(perf.Cycles),
-			Instructions: delta.Get(perf.InstRetired),
-			UnitsDone:    snap.UnitsDone,
-			UnitsTotal:   snap.UnitsTotal,
-			BusyWorkers:  snap.BusyWorkers,
-			Tree:         topdown.FromCounters(delta).Flatten(),
-		})
-	}
+	publishUnit(cfg, ev, delta)
 	cfg.logf("  run %-22s param=%-8d %-4s footprint=%-9s cpi=%.3f wcpi=%.4f",
 		r.Workload, r.Param, ps, arch.FormatBytes(r.Footprint), r.Metrics.CPI, r.Metrics.WCPI)
 	return r, nil
@@ -292,8 +274,9 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 // checkIdentities runs the refute checker over one completed unit: it
 // assembles the unit's evidence (counter delta, derived metrics, cycle
 // extent, sampler ring accounting), evaluates the identity registry,
-// and publishes the outcome to the Monitor. Violations are pinned to
-// [startCycle, endCycle] on the unit's `refute` timeline track.
+// and returns the outcome for the unit's live event. Violations are
+// pinned to [startCycle, endCycle] on the unit's `refute` timeline
+// track.
 func checkIdentities(cfg *RunConfig, m *machine.Machine, unit string, startCycle, endCycle uint64, r *RunResult, smp *perf.Sampler) refute.Outcome {
 	u := refute.Unit{
 		Name:         unit,
@@ -322,12 +305,36 @@ func checkIdentities(cfg *RunConfig, m *machine.Machine, unit string, startCycle
 		}
 	}
 	out := cfg.Refute.CheckUnit(u, m.TraceProcess())
-	cfg.Monitor.IdentityResults(uint64(out.Checked), uint64(len(out.Violations)))
 	for _, v := range out.Violations {
 		cfg.logf("  REFUTE %-22s identity %s violated (l=%g r=%g residual=%g)",
 			r.Workload, v.Identity, v.L, v.R, v.Residual)
 	}
 	return out
+}
+
+// unitEvent builds a completed unit's live event from its measured
+// delta; the identity results and the tree are filled in later.
+func unitEvent(unit string, delta perf.Counters, mt perf.Metrics) telemetry.UnitEvent {
+	return telemetry.UnitEvent{
+		Unit:         unit,
+		CPI:          mt.CPI,
+		WCPI:         mt.WCPI,
+		Cycles:       delta.Get(perf.Cycles),
+		Instructions: delta.Get(perf.InstRetired),
+		WalkCycles:   delta.Get(perf.DTLBLoadWalkDuration) + delta.Get(perf.DTLBStoreWalkDuration),
+	}
+}
+
+// publishUnit completes ev with the unit's flattened attribution tree
+// and publishes it to the live sink. Building the tree costs a few
+// hundred Expr evals per *unit* (not per access) and only when the sink
+// is armed.
+func publishUnit(cfg *RunConfig, ev telemetry.UnitEvent, delta perf.Counters) {
+	if cfg.Events == nil {
+		return
+	}
+	ev.Tree = topdown.FromCounters(delta).Flatten()
+	cfg.Events.Publish(ev)
 }
 
 // wrongPathCap is the per-flush wrong-path access cap m runs with: the

@@ -119,7 +119,7 @@ func forEachUnit(cfg *RunConfig, n int, fn func(i int) error) error {
 	}
 	// Announce the scheduled unit count before any unit runs, so live
 	// progress (done/total) is meaningful from the first heartbeat.
-	cfg.Monitor.AddUnitsTotal(uint64(n))
+	cfg.Events.AddUnitsTotal(uint64(n))
 	if cfg.parallelism() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			// A session-shared limiter must bound these units too.
@@ -132,9 +132,9 @@ func forEachUnit(cfg *RunConfig, n int, fn func(i int) error) error {
 			if cfg.pool != nil {
 				cfg.pool.acquire()
 			}
-			cfg.Monitor.WorkerBusy()
+			cfg.Events.WorkerBusy()
 			err := fn(i)
-			cfg.Monitor.WorkerIdle()
+			cfg.Events.WorkerIdle()
 			if cfg.pool != nil {
 				cfg.pool.release()
 			}
@@ -168,8 +168,8 @@ func forEachUnit(cfg *RunConfig, n int, fn func(i int) error) error {
 			if failed() {
 				return // cancelled: an earlier unit errored
 			}
-			cfg.Monitor.WorkerBusy()
-			defer cfg.Monitor.WorkerIdle()
+			cfg.Events.WorkerBusy()
+			defer cfg.Events.WorkerIdle()
 			if err := fn(i); err != nil {
 				mu.Lock()
 				if firstErr == nil {

@@ -54,7 +54,7 @@ func TestTimelineDeterministic(t *testing.T) {
 
 // TestTimelineSerialParallelIdentical: the scheduler must not leak into
 // the timeline — a parallel campaign exports the same bytes as a serial
-// one (worker assignment and completion order are live-monitor data,
+// one (worker assignment and completion order are live-hub data,
 // never trace data). Run with -race this also proves the tracer's
 // single-writer discipline under the concurrent scheduler.
 func TestTimelineSerialParallelIdentical(t *testing.T) {
@@ -121,18 +121,18 @@ func TestTimelineVirtAndHashed(t *testing.T) {
 	}
 }
 
-// TestMonitorCampaign: the live monitor sees every unit start and
-// finish, workers return to idle, and the aggregate WCPI is real.
-func TestMonitorCampaign(t *testing.T) {
+// TestHubCampaign: the live hub sees every unit start and finish,
+// workers return to idle, and the aggregate WCPI is real.
+func TestHubCampaign(t *testing.T) {
 	cfg := testConfig()
 	cfg.Budget = 30_000
 	cfg.Parallelism = 4
-	cfg.Monitor = telemetry.NewMonitor()
+	cfg.Events = telemetry.NewHub()
 	spec := mustSpec(t, "stride-synth")
 	if _, err := SweepOverhead(&cfg, spec); err != nil {
 		t.Fatal(err)
 	}
-	s := cfg.Monitor.Snapshot()
+	s := cfg.Events.Stats()
 	wantUnits := uint64(len(spec.Sizes(cfg.Preset)) * 3) // three page policies
 	if s.UnitsStarted != wantUnits || s.UnitsDone != wantUnits {
 		t.Errorf("units started/done = %d/%d, want %d", s.UnitsStarted, s.UnitsDone, wantUnits)
@@ -142,5 +142,32 @@ func TestMonitorCampaign(t *testing.T) {
 	}
 	if s.Instructions == 0 || s.WCPI <= 0 {
 		t.Errorf("aggregates empty: %+v", s)
+	}
+}
+
+// TestEventProgressMatchesSeq: under a parallel schedule every event's
+// units_done equals its seq — the hub stamps progress in the same
+// critical section that numbers the event, so no unit can finish
+// between the two.
+func TestEventProgressMatchesSeq(t *testing.T) {
+	cfg := testConfig()
+	cfg.Budget = 30_000
+	cfg.Parallelism = 4
+	cfg.Events = telemetry.NewHub()
+	spec := mustSpec(t, "stride-synth")
+	if _, err := SweepOverhead(&cfg, spec); err != nil {
+		t.Fatal(err)
+	}
+	events := cfg.Events.History()
+	if len(events) != len(spec.Sizes(cfg.Preset))*3 {
+		t.Fatalf("%d events for %d units", len(events), len(spec.Sizes(cfg.Preset))*3)
+	}
+	for _, ev := range events {
+		if ev.UnitsDone != ev.Seq {
+			t.Errorf("event %d (%s): units_done %d", ev.Seq, ev.Unit, ev.UnitsDone)
+		}
+		if ev.UnitsTotal != uint64(len(events)) {
+			t.Errorf("event %d: units_total %d, want %d", ev.Seq, ev.UnitsTotal, len(events))
+		}
 	}
 }

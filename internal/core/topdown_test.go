@@ -162,7 +162,6 @@ func TestWCPIExperimentAttribution(t *testing.T) {
 // publish time, and a non-empty flattened tree.
 func TestRunPublishesUnitEvents(t *testing.T) {
 	cfg := testConfig()
-	cfg.Monitor = telemetry.NewMonitor()
 	cfg.Events = telemetry.NewHub()
 	spec := mustSpec(t, "stride-synth")
 	if _, err := MeasureOverhead(&cfg, spec, spec.Ladder[0]); err != nil {

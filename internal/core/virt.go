@@ -205,6 +205,8 @@ func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
 		return VirtTenantRow{}, err
 	}
 	defer m.Release()
+	unit := fmt.Sprintf("multi-tenant n=%d seed=%d%s", n, cfg.Seed, cfg.UnitTag)
+	cfg.Events.UnitStarted()
 	for t := 1; t < n; t++ {
 		if _, err := m.AddTenant(); err != nil {
 			return VirtTenantRow{}, err
@@ -254,11 +256,13 @@ func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
 	}
 	delta := perf.Delta(start, m.Counters())
 	mt := perf.Compute(delta)
+	ev := unitEvent(unit, delta, mt)
 	if cfg.Refute != nil {
 		// The consolidation kernel bypasses Run, so it feeds the refute
-		// checker itself: same evidence shape, tenant-count unit name.
+		// checker and the live sink itself: same evidence shape,
+		// tenant-count unit name.
 		u := refute.Unit{
-			Name:         fmt.Sprintf("multi-tenant n=%d seed=%d%s", n, cfg.Seed, cfg.UnitTag),
+			Name:         unit,
 			StartCycle:   startCycle,
 			EndCycle:     m.CycleCount(),
 			Virt:         true,
@@ -267,8 +271,9 @@ func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
 			Metrics:      mt,
 		}
 		out := cfg.Refute.CheckUnit(u, m.TraceProcess())
-		cfg.Monitor.IdentityResults(uint64(out.Checked), uint64(len(out.Violations)))
+		ev.IdentitiesChecked, ev.IdentitiesViolated = uint64(out.Checked), uint64(len(out.Violations))
 	}
+	publishUnit(cfg, ev, delta)
 	cfg.logf("  run multi-tenant          n=%-8d %-4s footprint=%-9s wcpi=%.4f ntlb=%.3f",
 		n, arch.Page4K, arch.FormatBytes(uint64(n)*tenantFootprintBytes), mt.WCPI, mt.NTLBHitRate)
 	return VirtTenantRow{

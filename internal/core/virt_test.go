@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"atscale/internal/telemetry"
 	_ "atscale/internal/workloads/all"
 )
 
@@ -90,5 +91,25 @@ func TestVirtSweepParallelMatchesSerial(t *testing.T) {
 	}
 	if serialCSV != parallelCSV {
 		t.Errorf("parallel virt CSV differs from serial")
+	}
+}
+
+// TestVirtCampaignCompletes: every virt unit — the multi-tenant runs
+// that bypass Run included — is announced, started and finished on the
+// live hub, so a virt campaign reaches 100%.
+func TestVirtCampaignCompletes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Budget = 30_000
+	cfg.Parallelism = 2
+	cfg.Events = telemetry.NewHub()
+	if _, err := VirtExperiment(NewSession(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	s := cfg.Events.Stats()
+	if s.UnitsTotal == 0 || s.UnitsStarted != s.UnitsTotal || s.UnitsDone != s.UnitsTotal {
+		t.Errorf("units started/done/total = %d/%d/%d, want all equal", s.UnitsStarted, s.UnitsDone, s.UnitsTotal)
+	}
+	if s.BusyWorkers != 0 {
+		t.Errorf("busy workers = %d after campaign end", s.BusyWorkers)
 	}
 }

@@ -51,6 +51,18 @@ const (
 	tagBias      = 2
 )
 
+// ClusterOf decodes the cluster layout for a 4 KB VPN: the group it
+// hashes by, the tag word its cluster carries, and the byte offset of
+// its frame word within the cluster. The table and the hardware walker
+// both address clusters through it.
+func ClusterOf(vpn uint64) (group, tag uint64, slot arch.PAddr) {
+	group = vpn / clusterSpan
+	return group, group + tagBias, slotOffset(vpn % clusterSpan)
+}
+
+// slotOffset is the byte offset of frame word sub within a cluster.
+func slotOffset(sub uint64) arch.PAddr { return arch.PAddr(8 + sub*8) }
+
 // hashedSeed scrambles cluster groups; fixed so layouts are reproducible.
 const hashedSeed = 0x9E3779B97F4A7C15
 
@@ -122,23 +134,24 @@ func (t *HashedTable) readTag(i uint64) uint64 {
 }
 
 func (t *HashedTable) frameAddr(i uint64, sub uint64) arch.PAddr {
-	return t.ClusterAddr(i) + arch.PAddr(8+sub*8)
+	return t.ClusterAddr(i) + slotOffset(sub)
 }
 
-// findCluster probes for the cluster holding group, returning its index.
-func (t *HashedTable) findCluster(group uint64) (uint64, bool) {
+// find probes for the cluster holding va's translation, returning its
+// index and the offset of va's frame word within it.
+func (t *HashedTable) find(va arch.VAddr) (uint64, arch.PAddr, bool) {
+	group, tag, slot := ClusterOf(arch.PageNumber(va, arch.Page4K))
 	h := t.HashGroup(group)
-	tag := group + tagBias
 	for p := uint64(0); p < MaxProbe; p++ {
 		i := (h + p) & (t.clusters - 1)
 		switch t.readTag(i) {
 		case tag:
-			return i, true
+			return i, slot, true
 		case tagEmpty:
-			return 0, false
+			return 0, 0, false
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Map installs a 4 KB translation. Superpages are unsupported.
@@ -158,19 +171,17 @@ func (t *HashedTable) Map(va arch.VAddr, pa arch.PAddr, ps arch.PageSize) error 
 			return err
 		}
 	}
-	vpn := arch.PageNumber(va, arch.Page4K)
-	group, sub := vpn/clusterSpan, vpn%clusterSpan
-	tag := group + tagBias
+	group, tag, slot := ClusterOf(arch.PageNumber(va, arch.Page4K))
 	h := t.HashGroup(group)
 	insert := int64(-1)
 	for p := uint64(0); p < MaxProbe; p++ {
 		i := (h + p) & (t.clusters - 1)
 		switch t.readTag(i) {
 		case tag:
-			if t.phys.Read64(t.frameAddr(i, sub)) != 0 {
+			if t.phys.Read64(t.ClusterAddr(i)+slot) != 0 {
 				return fmt.Errorf("pagetable: va %#x already mapped", uint64(va))
 			}
-			t.phys.Write64(t.frameAddr(i, sub), uint64(pa)|uint64(FlagPresent))
+			t.phys.Write64(t.ClusterAddr(i)+slot, uint64(pa)|uint64(FlagPresent))
 			t.live++
 			return nil
 		case tagEmpty:
@@ -198,7 +209,7 @@ func (t *HashedTable) Map(va arch.VAddr, pa arch.PAddr, ps arch.PageSize) error 
 	for s := uint64(0); s < clusterSpan; s++ {
 		t.phys.Write64(t.frameAddr(i, s), 0)
 	}
-	t.phys.Write64(t.frameAddr(i, sub), uint64(pa)|uint64(FlagPresent))
+	t.phys.Write64(t.ClusterAddr(i)+slot, uint64(pa)|uint64(FlagPresent))
 	t.occupied++
 	t.live++
 	return nil
@@ -210,13 +221,11 @@ func (t *HashedTable) Unmap(va arch.VAddr, ps arch.PageSize) error {
 	if ps != arch.Page4K {
 		return fmt.Errorf("pagetable: hashed table maps 4KB pages only, got %s", ps)
 	}
-	vpn := arch.PageNumber(va, arch.Page4K)
-	group, sub := vpn/clusterSpan, vpn%clusterSpan
-	i, ok := t.findCluster(group)
-	if !ok || t.phys.Read64(t.frameAddr(i, sub)) == 0 {
+	i, slot, ok := t.find(va)
+	if !ok || t.phys.Read64(t.ClusterAddr(i)+slot) == 0 {
 		return fmt.Errorf("pagetable: Unmap(%#x): not mapped", uint64(va))
 	}
-	t.phys.Write64(t.frameAddr(i, sub), 0)
+	t.phys.Write64(t.ClusterAddr(i)+slot, 0)
 	t.live--
 	for s := uint64(0); s < clusterSpan; s++ {
 		if t.phys.Read64(t.frameAddr(i, s)) != 0 {
@@ -235,12 +244,11 @@ func (t *HashedTable) Lookup(va arch.VAddr) (arch.PAddr, arch.PageSize, bool) {
 	if !arch.Canonical(va) {
 		return 0, 0, false
 	}
-	vpn := arch.PageNumber(va, arch.Page4K)
-	i, ok := t.findCluster(vpn / clusterSpan)
+	i, slot, ok := t.find(va)
 	if !ok {
 		return 0, 0, false
 	}
-	frame := t.phys.Read64(t.frameAddr(i, vpn%clusterSpan))
+	frame := t.phys.Read64(t.ClusterAddr(i) + slot)
 	if frame == 0 {
 		return 0, 0, false
 	}

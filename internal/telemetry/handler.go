@@ -7,8 +7,8 @@ import (
 
 // The HTTP surface of live telemetry. It lives here — not in cmd/ —
 // so httptest can drive it directly, but it stays clock-free like the
-// rest of the package: handlers only snapshot the monitor's atomics
-// and drain the hub; timestamps and tickers remain the CLI's business.
+// rest of the package: handlers only read the hub's fold and drain its
+// events; timestamps and tickers remain the CLI's business.
 
 //go:embed dashboard.html
 var dashboardHTML []byte
@@ -17,14 +17,11 @@ var dashboardHTML []byte
 //
 //	GET /        the embedded HTML dashboard (progress, WCPI trend,
 //	             live attribution tree; stdlib + vanilla JS only)
-//	GET /stats   one MonitorStats snapshot as JSON
+//	GET /stats   one CampaignStats snapshot of the hub's fold as JSON
 //	GET /events  the hub's UnitEvent feed as Server-Sent Events, full
 //	             history replayed first, then live events until the
 //	             client disconnects
-//
-// mon and hub may each be nil; the endpoints degrade to empty
-// snapshots / an immediately-idle stream.
-func NewHandler(mon *Monitor, hub *Hub) http.Handler {
+func NewHandler(hub *Hub) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -36,7 +33,7 @@ func NewHandler(mon *Monitor, hub *Hub) http.Handler {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(mon.Snapshot().JSON(), '\n'))
+		w.Write(append(hub.Stats().JSON(), '\n'))
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		flusher, ok := w.(http.Flusher)
@@ -47,17 +44,11 @@ func NewHandler(mon *Monitor, hub *Hub) http.Handler {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.Header().Set("Connection", "keep-alive")
-		if hub == nil {
-			// No stream source: send the snapshot and finish.
-			writeSSE(w, "stats", mon.Snapshot().JSON())
-			flusher.Flush()
-			return
-		}
 		events, cancel := hub.Subscribe()
 		defer cancel()
 		// Lead with a stats snapshot so a fresh dashboard paints
 		// progress before the first unit completes.
-		writeSSE(w, "stats", mon.Snapshot().JSON())
+		writeSSE(w, "stats", hub.Stats().JSON())
 		flusher.Flush()
 		for {
 			select {

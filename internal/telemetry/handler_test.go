@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,18 +27,24 @@ func publishN(h *Hub, n int) {
 	}
 }
 
+// unitDone publishes one completed unit carrying the given counter
+// deltas.
+func unitDone(h *Hub, instructions, cycles, walkCycles uint64) {
+	h.Publish(UnitEvent{Instructions: instructions, Cycles: cycles, WalkCycles: walkCycles})
+}
+
 func TestStatsEndpoint(t *testing.T) {
-	mon := NewMonitor()
-	mon.AddUnitsTotal(8)
-	mon.UnitDone(1000, 2000, 300)
-	mon.WorkerBusy()
+	hub := NewHub()
+	hub.AddUnitsTotal(8)
+	unitDone(hub, 1000, 2000, 300)
+	hub.WorkerBusy()
 	// 2000 more cycles land between observations 1 wall-second apart:
 	// the gauge reads 2000 cycles/sec.
-	mon.ObserveThroughput(1_000_000_000)
-	mon.UnitDone(1000, 2000, 300)
-	mon.ObserveThroughput(2_000_000_000)
+	hub.ObserveThroughput(1_000_000_000)
+	unitDone(hub, 1000, 2000, 300)
+	hub.ObserveThroughput(2_000_000_000)
 
-	srv := httptest.NewServer(NewHandler(mon, nil))
+	srv := httptest.NewServer(NewHandler(hub))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -47,7 +54,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type %q", ct)
 	}
-	var s MonitorStats
+	var s CampaignStats
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +75,19 @@ func TestStatsEndpoint(t *testing.T) {
 // TestStatsJSONLRoundTrip: the JSONL heartbeat line the stderr mode
 // emits parses back into an identical snapshot.
 func TestStatsJSONLRoundTrip(t *testing.T) {
-	mon := NewMonitor()
-	mon.AddUnitsTotal(4)
-	mon.UnitStarted()
-	mon.UnitDone(500, 1500, 100)
-	mon.IdentityResults(21, 0)
-	mon.ObserveThroughput(1_000_000_000)
-	mon.ObserveThroughput(3_000_000_000)
-	snap := mon.Snapshot()
+	hub := NewHub()
+	hub.AddUnitsTotal(4)
+	hub.UnitStarted()
+	hub.Publish(UnitEvent{Instructions: 500, Cycles: 1500, WalkCycles: 100, IdentitiesChecked: 21})
+	hub.ObserveThroughput(1_000_000_000)
+	hub.ObserveThroughput(3_000_000_000)
+	snap := hub.Stats()
 
 	line := snap.JSON()
 	if strings.ContainsRune(string(line), '\n') {
 		t.Error("heartbeat line contains a newline")
 	}
-	var round MonitorStats
+	var round CampaignStats
 	if err := json.Unmarshal(line, &round); err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +102,60 @@ func TestStatsJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// statsKeys is the /stats and heartbeat wire contract: every key, in
+// order. Dashboards and log scrapers depend on both.
+var statsKeys = []string{
+	"units_started", "units_done", "units_total", "progress", "busy_workers",
+	"instructions", "cycles", "walk_cycles", "wcpi",
+	"identities_checked", "identities_violated", "cycles_per_sec",
+}
+
+// jsonKeys returns the top-level keys of one JSON object, in wire order.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", data)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestStatsKeyOrder pins the exact key list and order of the /stats
+// body and of the stderr heartbeat line.
+func TestStatsKeyOrder(t *testing.T) {
+	hub := NewHub()
+	hub.AddUnitsTotal(2)
+	unitDone(hub, 100, 200, 30)
+
+	srv := httptest.NewServer(NewHandler(hub))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for name, data := range map[string][]byte{"/stats": body, "heartbeat": hub.Stats().JSON()} {
+		if got := jsonKeys(t, data); !slices.Equal(got, statsKeys) {
+			t.Errorf("%s keys:\n got %q\nwant %q", name, got, statsKeys)
+		}
+	}
+}
+
 func TestDashboardServed(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(nil, nil))
+	srv := httptest.NewServer(NewHandler(NewHub()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/")
 	if err != nil {
@@ -158,11 +216,10 @@ func readSSE(t *testing.T, r *bufio.Reader, n int) []sseEvent {
 // the leading stats frame, the full history in order, then live events,
 // with strictly increasing sequence numbers throughout.
 func TestEventsSSEOrdering(t *testing.T) {
-	mon := NewMonitor()
 	hub := NewHub()
 	publishN(hub, 3) // history before the client connects
 
-	srv := httptest.NewServer(NewHandler(mon, hub))
+	srv := httptest.NewServer(NewHandler(hub))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/events")
 	if err != nil {
@@ -206,9 +263,8 @@ func TestEventsSSEOrdering(t *testing.T) {
 // TestEventsSSEDisconnect: cancelling the client's request context
 // unsubscribes it from the hub (no goroutine or subscription leak).
 func TestEventsSSEDisconnect(t *testing.T) {
-	mon := NewMonitor()
 	hub := NewHub()
-	srv := httptest.NewServer(NewHandler(mon, hub))
+	srv := httptest.NewServer(NewHandler(hub))
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -269,34 +325,33 @@ func TestHubReplayThenLive(t *testing.T) {
 	}
 }
 
-// TestHubNilSafe: the disabled-telemetry path (nil hub, nil monitor)
-// must be safe to call from campaign hot paths.
+// TestHubNilSafe: the disabled-telemetry path (nil hub) must be safe to
+// call from campaign hot paths.
 func TestHubNilSafe(t *testing.T) {
 	var hub *Hub
 	hub.Publish(UnitEvent{Unit: "x"})
 	if hub.Subscribers() != 0 || hub.History() != nil {
 		t.Error("nil hub not inert")
 	}
-	var mon *Monitor
-	mon.AddUnitsTotal(3)
-	mon.ObserveThroughput(123)
-	if s := mon.Snapshot(); s != (MonitorStats{}) {
-		t.Errorf("nil monitor snapshot: %+v", s)
+	hub.AddUnitsTotal(3)
+	hub.ObserveThroughput(123)
+	if s := hub.Stats(); s != (CampaignStats{}) {
+		t.Errorf("nil hub stats: %+v", s)
 	}
 }
 
-// TestDisabledPublishAllocFree: with telemetry off (nil monitor, nil
-// hub) the per-unit publish hooks must not allocate — the sim hot path
-// pays one pointer compare, nothing more.
+// TestDisabledPublishAllocFree: with telemetry off (nil hub) the
+// per-unit hooks must not allocate — the sim hot path pays one pointer
+// compare, nothing more.
 func TestDisabledPublishAllocFree(t *testing.T) {
 	var hub *Hub
-	var mon *Monitor
-	ev := UnitEvent{Unit: "u"}
+	ev := UnitEvent{Unit: "u", Instructions: 1, Cycles: 2, WalkCycles: 3}
 	allocs := testing.AllocsPerRun(1000, func() {
-		mon.UnitStarted()
-		mon.UnitDone(1, 2, 3)
-		mon.WorkerBusy()
-		mon.WorkerIdle()
+		hub.UnitStarted()
+		hub.AddUnitsTotal(1)
+		hub.WorkerBusy()
+		hub.WorkerIdle()
+		hub.ObserveThroughput(1)
 		hub.Publish(ev)
 	})
 	if allocs != 0 {

@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's timeline tracer and live campaign
-// monitor.
+// hub.
 //
 // The tracer records span and instant events whose clock is the
 // *simulated cycle counter*, never wall time, so a timeline is a pure
@@ -28,9 +28,9 @@
 //     span starts at the sum of the simulated durations of all units
 //     that precede it in sorted-name order. Parallel and serial
 //     campaigns therefore export identical bytes; real worker
-//     assignment and wall-clock occupancy are live-monitor concerns and
+//     assignment and wall-clock occupancy are live-hub concerns and
 //     never enter the timeline file.
-//   - Wall time exists only in the Monitor consumers (the CLIs' live
+//   - Wall time exists only in the Hub consumers (the CLIs' live
 //     heartbeat loops); nothing in this package reads the host clock.
 package telemetry
 

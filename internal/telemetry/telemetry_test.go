@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,13 +40,13 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil tracer export invalid: %v", err)
 	}
 
-	var m *Monitor
-	m.UnitStarted()
-	m.UnitDone(1, 2, 3)
-	m.WorkerBusy()
-	m.WorkerIdle()
-	if s := m.Snapshot(); s != (MonitorStats{}) {
-		t.Errorf("nil monitor snapshot = %+v", s)
+	var h *Hub
+	h.UnitStarted()
+	h.Publish(UnitEvent{Instructions: 1, Cycles: 2, WalkCycles: 3})
+	h.WorkerBusy()
+	h.WorkerIdle()
+	if s := h.Stats(); s != (CampaignStats{}) {
+		t.Errorf("nil hub stats = %+v", s)
 	}
 }
 
@@ -252,23 +253,24 @@ func TestValidateRejectsBackwardsTime(t *testing.T) {
 	}
 }
 
-// TestMonitorSnapshot: counters aggregate and WCPI derives from them.
-func TestMonitorSnapshot(t *testing.T) {
-	m := NewMonitor()
-	m.UnitStarted()
-	m.WorkerBusy()
-	m.UnitDone(1000, 2000, 250)
-	m.UnitStarted()
-	m.UnitDone(1000, 1000, 150)
-	m.WorkerIdle()
-	s := m.Snapshot()
+// TestHubStats: published units fold into the counters, WCPI derives
+// from them, and the scheduler signals land beside them.
+func TestHubStats(t *testing.T) {
+	h := NewHub()
+	h.UnitStarted()
+	h.WorkerBusy()
+	h.Publish(UnitEvent{Instructions: 1000, Cycles: 2000, WalkCycles: 250})
+	h.UnitStarted()
+	h.Publish(UnitEvent{Instructions: 1000, Cycles: 1000, WalkCycles: 150})
+	h.WorkerIdle()
+	s := h.Stats()
 	if s.UnitsStarted != 2 || s.UnitsDone != 2 || s.BusyWorkers != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	if s.WCPI != 0.2 {
 		t.Errorf("WCPI = %v, want 0.2", s.WCPI)
 	}
-	var parsed MonitorStats
+	var parsed CampaignStats
 	if err := json.Unmarshal(s.JSON(), &parsed); err != nil {
 		t.Fatalf("heartbeat not JSON: %v", err)
 	}
@@ -277,17 +279,53 @@ func TestMonitorSnapshot(t *testing.T) {
 	}
 }
 
-// TestMonitorIdentityResults: refute outcomes accumulate into the
-// snapshot, survive the JSONL heartbeat round-trip under their wire
-// names, and are nil-safe like every other Monitor hook.
-func TestMonitorIdentityResults(t *testing.T) {
-	var nilMon *Monitor
-	nilMon.IdentityResults(3, 1) // must not panic
+// TestHubConcurrentFold: workers publishing and signalling at once
+// leave exact totals, and every event's progress equals its seq.
+func TestHubConcurrentFold(t *testing.T) {
+	const workers, perWorker = 8, 50
+	h := NewHub()
+	h.AddUnitsTotal(workers * perWorker)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.WorkerBusy()
+				h.UnitStarted()
+				h.Publish(UnitEvent{Instructions: 10, Cycles: 20, WalkCycles: 2, IdentitiesChecked: 1})
+				_ = h.Stats()
+				h.WorkerIdle()
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Stats()
+	const n = workers * perWorker
+	if s.UnitsStarted != n || s.UnitsDone != n || s.BusyWorkers != 0 || s.Progress != 1 {
+		t.Errorf("progress = %+v", s)
+	}
+	if s.Instructions != 10*n || s.Cycles != 20*n || s.WalkCycles != 2*n || s.IdentitiesChecked != n {
+		t.Errorf("totals = %+v", s)
+	}
+	for _, ev := range h.History() {
+		if ev.UnitsDone != ev.Seq || ev.UnitsTotal != n {
+			t.Fatalf("event %d: units_done %d, units_total %d", ev.Seq, ev.UnitsDone, ev.UnitsTotal)
+		}
+	}
+}
 
-	m := NewMonitor()
-	m.IdentityResults(17, 0)
-	m.IdentityResults(17, 2)
-	s := m.Snapshot()
+// TestHubIdentityResults: refute outcomes carried by unit events
+// accumulate into the stats, survive the JSONL heartbeat round-trip
+// under their wire names, and are nil-safe like every other hub hook.
+func TestHubIdentityResults(t *testing.T) {
+	var nilHub *Hub
+	nilHub.Publish(UnitEvent{IdentitiesChecked: 3, IdentitiesViolated: 1}) // must not panic
+
+	h := NewHub()
+	h.Publish(UnitEvent{IdentitiesChecked: 17})
+	h.Publish(UnitEvent{IdentitiesChecked: 17, IdentitiesViolated: 2})
+	s := h.Stats()
 	if s.IdentitiesChecked != 34 || s.IdentitiesViolated != 2 {
 		t.Errorf("snapshot identities = %d/%d, want 34/2", s.IdentitiesChecked, s.IdentitiesViolated)
 	}
@@ -297,7 +335,7 @@ func TestMonitorIdentityResults(t *testing.T) {
 			t.Errorf("heartbeat %s lacks %s", line, key)
 		}
 	}
-	var parsed MonitorStats
+	var parsed CampaignStats
 	if err := json.Unmarshal(line, &parsed); err != nil {
 		t.Fatalf("heartbeat not JSON: %v", err)
 	}

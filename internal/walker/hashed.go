@@ -59,9 +59,7 @@ func (h *Hashed) Walk(va arch.VAddr, _ arch.PAddr, budget uint64) Result {
 		h.trk.EndArg(traceOutcome, outcomeFault)
 		return r
 	}
-	vpn := arch.PageNumber(va, arch.Page4K)
-	group := vpn / 4 // pagetable's clusterSpan
-	tag := group + 2 // pagetable's tagBias
+	group, tag, slot := pagetable.ClusterOf(arch.PageNumber(va, arch.Page4K))
 	start := h.table.HashGroup(group)
 	clusters := h.table.Clusters()
 	for p := uint64(0); p < pagetable.MaxProbe; p++ {
@@ -82,7 +80,7 @@ func (h *Hashed) Walk(va arch.VAddr, _ arch.PAddr, budget uint64) Result {
 		}
 		switch h.phys.Read64(addr) {
 		case tag:
-			frame := h.phys.Read64(addr + arch.PAddr(8+(vpn%4)*8))
+			frame := h.phys.Read64(addr + slot)
 			r.Completed = true
 			if frame == 0 {
 				h.trk.EndArg(traceOutcome, outcomeFault)

@@ -195,8 +195,9 @@ func locName(loc cache.HitLoc) string {
 
 // Walker is the radix hardware walker plus its paging-structure caches.
 // Its exported kernel (Descend, Resolve, Charge and the span helpers) is
-// the only radix walk in the simulator: the translation schemes embed a
-// Walker and express themselves as deltas on it.
+// the native radix walk: the translation schemes embed a Walker and
+// express themselves as deltas on it. The nested walker (nested.go)
+// still runs its own guest and EPT loops.
 type Walker struct {
 	phys   *mem.Phys
 	psc    *mmucache.PSC
