@@ -32,8 +32,9 @@ const flatgoldDir = "testdata/flatgold"
 // flatgoldCase is one configuration of the differential matrix. It
 // deliberately crosses every walker/page-table/policy dimension the
 // refactor touches: the radix walker at 4/5 levels, all three page-size
-// policies, hashed page tables, nested paging at both EPT leaf sizes,
-// and WCPI-guided promotion (which exercises machine-internal state the
+// policies, hashed page tables, nested paging (4 KB guest pages over 4 KB
+// and 2 MB EPT leaves, 2 MB guest pages over 1 GB EPT leaves), and
+// WCPI-guided promotion (which exercises machine-internal state the
 // quiet path caches).
 type flatgoldCase struct {
 	name     string
@@ -55,6 +56,16 @@ func flatgoldCases() []flatgoldCase {
 			mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page4K) }},
 		{name: "virt-ept2m", workload: "zipf-synth", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page2M) }},
+		// The starved 2 MB TLBs (no STLB) make most accesses to the 16 MB
+		// footprint walk, so the warm guest PSCs, nTLB and EPT PSCs all
+		// serve walks here.
+		{name: "virt-g2m-ept1g", workload: "uniform-synth", ps: arch.Page2M,
+			mutate: func(c *RunConfig) {
+				c.System = virtualize(c.System, arch.Page1G)
+				c.System.Virt.GuestPages = arch.Page2M
+				c.System.L1TLB[arch.Page2M] = arch.TLBGeometry{Entries: 2, Ways: 2}
+				c.System.STLB = arch.TLBGeometry{}
+			}},
 		{name: "promo", workload: "gups-rand", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.EnablePromotion = true }},
 		{name: "sampling", workload: "stride-synth", ps: arch.Page4K,
@@ -200,13 +211,24 @@ func TestFlatGoldCounters(t *testing.T) {
 // export is ~11 MB, so the golden stores its SHA-256 plus the length:
 // that still pins every byte without committing megabytes of JSON.
 func TestFlatGoldTimeline(t *testing.T) {
-	data := flatgoldTimeline(t)
+	flatgoldCompare(t, "timeline.sha256", timelineDigest(t, flatgoldTimeline(t)))
+}
+
+// TestFlatGoldTimelineVirt locks the timeline of one traced nested unit:
+// the guest- and EPT-dimension walker tracks, their cross-synced clocks,
+// nTLB-hit instants and every walk outcome.
+func TestFlatGoldTimelineVirt(t *testing.T) {
+	flatgoldCompare(t, "timeline-virt.sha256", timelineDigest(t, virtTimeline(t)))
+}
+
+// timelineDigest validates an exported timeline and renders its SHA-256
+// plus length.
+func timelineDigest(t *testing.T, data []byte) []byte {
+	t.Helper()
 	if _, err := telemetry.Validate(data); err != nil {
 		t.Fatalf("timeline invalid before comparison: %v", err)
 	}
-	sum := sha256.Sum256(data)
-	digest := fmt.Sprintf("sha256:%x len:%d\n", sum, len(data))
-	flatgoldCompare(t, "timeline.sha256", []byte(digest))
+	return []byte(fmt.Sprintf("sha256:%x len:%d\n", sha256.Sum256(data), len(data)))
 }
 
 // TestFlatGoldRefute locks the refute checker's JSON report over a

@@ -83,26 +83,36 @@ func TestTimelinePhases(t *testing.T) {
 	}
 }
 
+// tracedUnit runs one gups-rand unit with tracing on, after mutate has
+// adjusted the config, and returns the exported timeline bytes.
+func tracedUnit(t *testing.T, mutate func(*RunConfig), ps arch.PageSize) []byte {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Budget = 30_000
+	cfg.Trace = telemetry.New()
+	mutate(&cfg)
+	spec := mustSpec(t, "gups-rand")
+	if _, err := Run(&cfg, spec, spec.Ladder[0], ps); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cfg.Trace.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// virtTimeline is the traced nested-paging unit: 4 KB guest pages over
+// the default EPT, every walk-serving cache enabled.
+func virtTimeline(t *testing.T) []byte {
+	t.Helper()
+	return tracedUnit(t, func(cfg *RunConfig) { cfg.System.Virt = arch.DefaultVirt() }, arch.Page4K)
+}
+
 // TestTimelineVirtAndHashed: the nested walker's guest/EPT sub-tracks
 // and the hashed walker's probe slices validate too.
 func TestTimelineVirtAndHashed(t *testing.T) {
-	run := func(mutate func(*RunConfig), ps arch.PageSize) []byte {
-		cfg := testConfig()
-		cfg.Budget = 30_000
-		cfg.Trace = telemetry.New()
-		mutate(&cfg)
-		spec := mustSpec(t, "gups-rand")
-		if _, err := Run(&cfg, spec, spec.Ladder[0], ps); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := cfg.Trace.Export(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	virt := run(func(cfg *RunConfig) { cfg.System.Virt = arch.DefaultVirt() }, arch.Page4K)
+	virt := virtTimeline(t)
 	if _, err := telemetry.Validate(virt); err != nil {
 		t.Errorf("virt timeline invalid: %v", err)
 	}
@@ -112,7 +122,7 @@ func TestTimelineVirtAndHashed(t *testing.T) {
 		}
 	}
 
-	hashed := run(func(cfg *RunConfig) { cfg.System.PageTable = "hashed" }, arch.Page4K)
+	hashed := tracedUnit(t, func(cfg *RunConfig) { cfg.System.PageTable = "hashed" }, arch.Page4K)
 	if _, err := telemetry.Validate(hashed); err != nil {
 		t.Errorf("hashed timeline invalid: %v", err)
 	}
