@@ -18,7 +18,6 @@ import (
 	"atscale/internal/cache"
 	"atscale/internal/cpu"
 	"atscale/internal/mem"
-	"atscale/internal/mmucache"
 	"atscale/internal/pagetable"
 	"atscale/internal/perf"
 	"atscale/internal/scheme"
@@ -136,8 +135,7 @@ func New(cfg arch.SystemConfig, policy arch.PageSize, seed int64) (*Machine, err
 			return nil, fmt.Errorf("machine: %w", perr)
 		}
 		as, err = vm.NewAddrSpaceTables(m.gphys, policy, pt)
-		nc := mmucache.NewNested(m.cfg.PSC, m.cfg.Virt.EPTPSC, m.cfg.Virt.NTLBEntries)
-		engine = walker.NewNested(m.phys, hyp.Root(), cfg.Virt.EPTPages, nc, caches)
+		engine = walker.NewNested(m.phys, hyp.Root(), m.cfg.PSC, m.cfg.Virt, caches)
 	} else if cfg.PageTable == "hashed" {
 		if policy != arch.Page4K {
 			return nil, fmt.Errorf("machine: hashed page tables support the 4KB policy only, got %s", policy)

@@ -6,73 +6,13 @@ import (
 	"atscale/internal/arch"
 )
 
-// These tests pin the flush-scoping contract the translation-scheme seam
-// (internal/scheme) relies on: every flush scope drops exactly the
-// structures its architectural event invalidates, and a *full* flush
-// leaves zero residual hits in any walk-serving cache.
-
-// fillNested populates every cache of a nested set with one entry.
-func fillNested(n *Nested) (va arch.VAddr, gpa arch.PAddr) {
-	va = arch.VAddr(0x7f00_1234_5000)
-	gpa = arch.PAddr(0x4_2000)
-	n.Guest.Insert(arch.LevelPD, va, 0x4000)
-	n.Guest.Insert(arch.LevelPDPT, va, 0x3000)
-	n.EPT.Insert(arch.LevelPD, arch.VAddr(gpa), 0x8000)
-	n.NTLB.Insert(arch.PAddr(arch.PageBase(arch.VAddr(gpa), arch.Page4K)), 0x9000, arch.Page4K)
-	return va, gpa
-}
-
+// pscLive counts a PSC set's valid entries across its levels.
 func pscLive(p *PSC) int {
 	n := 0
 	for l := arch.LevelPD; l <= p.Top(); l++ {
 		n += p.Live(l)
 	}
 	return n
-}
-
-func TestFlushGuestScopesToGuestDimension(t *testing.T) {
-	n := NewNested(arch.PSCGeometry{PML4Entries: 2, PDPTEntries: 4, PDEntries: 8},
-		arch.PSCGeometry{PML4Entries: 2, PDPTEntries: 4, PDEntries: 8}, 16)
-	va, gpa := fillNested(n)
-
-	n.FlushGuest()
-	if live := pscLive(n.Guest); live != 0 {
-		t.Errorf("guest PSC live = %d after FlushGuest, want 0", live)
-	}
-	// The EPT dimension is keyed by guest-physical addresses under an
-	// unchanged EPTP: it must stay warm.
-	if live := pscLive(n.EPT); live == 0 {
-		t.Error("FlushGuest dropped the EPT PSCs")
-	}
-	if n.NTLB.Live() == 0 {
-		t.Error("FlushGuest dropped the nTLB")
-	}
-	if _, _, ok := n.NTLB.Lookup(gpa); !ok {
-		t.Error("nTLB lookup misses after guest-scoped flush")
-	}
-	if level, _ := n.Guest.LookupDeepest(va, arch.LevelPT, cr3); level != n.Guest.Top() {
-		t.Error("guest PSC still serves hits after FlushGuest")
-	}
-}
-
-func TestFullFlushLeavesZeroResidualHits(t *testing.T) {
-	n := NewNested(arch.PSCGeometry{PML4Entries: 2, PDPTEntries: 4, PDEntries: 8},
-		arch.PSCGeometry{PML4Entries: 2, PDPTEntries: 4, PDEntries: 8}, 16)
-	va, gpa := fillNested(n)
-
-	n.Flush()
-	if live := pscLive(n.Guest) + pscLive(n.EPT) + n.NTLB.Live(); live != 0 {
-		t.Fatalf("full flush left %d live entries", live)
-	}
-	if level, base := n.Guest.LookupDeepest(va, arch.LevelPT, cr3); level != n.Guest.Top() || base != cr3 {
-		t.Error("guest PSC residual hit after full flush")
-	}
-	if level, base := n.EPT.LookupDeepest(arch.VAddr(gpa), arch.LevelPT, cr3); level != n.EPT.Top() || base != cr3 {
-		t.Error("EPT PSC residual hit after full flush")
-	}
-	if _, _, ok := n.NTLB.Lookup(gpa); ok {
-		t.Error("nTLB residual hit after full flush")
-	}
 }
 
 func TestPSCFlushKeepsClockResetRewinds(t *testing.T) {

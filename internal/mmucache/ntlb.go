@@ -90,53 +90,3 @@ func (t *NTLB) Live() int {
 	}
 	return n
 }
-
-// Nested bundles the walk-serving caches of a nested (2D) translation
-// engine, one set per dimension:
-//
-//   - Guest: paging-structure caches keyed on guest-virtual addresses,
-//     letting the walker skip upper *guest* levels (their payloads are
-//     guest-physical table pointers);
-//   - EPT: paging-structure caches keyed on guest-physical addresses,
-//     letting each EPT walk skip upper *EPT* levels;
-//   - NTLB: the EPT translation cache short-circuiting whole EPT walks.
-//
-// Lookup order on a guest step: Guest PSC (to pick the walk entry
-// point), then per step NTLB, then the EPT PSCs inside an EPT walk.
-type Nested struct {
-	Guest *PSC
-	EPT   *PSC
-	NTLB  *NTLB
-}
-
-// NewNested builds the nested cache set: guest-dimension PSCs from g,
-// EPT-dimension PSCs from e, and an nTLB of ntlbEntries entries. Both
-// dimensions are 4-level (nested paging pairs with PagingLevels=4).
-func NewNested(g, e arch.PSCGeometry, ntlbEntries int) *Nested {
-	return &Nested{
-		Guest: New(g),
-		EPT:   New(e),
-		NTLB:  NewNTLB(ntlbEntries),
-	}
-}
-
-// FlushGuest drops the guest-dimension caches only — the guest context
-// switch: EPT PSCs and the nTLB are tagged by guest-physical addresses
-// under an EPTP that did not change, so hardware (and this model) keeps
-// them warm.
-func (n *Nested) FlushGuest() { n.Guest.Flush() }
-
-// Flush drops every cache in both dimensions (EPTP change).
-func (n *Nested) Flush() {
-	n.Guest.Flush()
-	n.EPT.Flush()
-	n.NTLB.Flush()
-}
-
-// Reset returns every cache in both dimensions to its just-constructed
-// state, clocks included (machine renewal).
-func (n *Nested) Reset() {
-	n.Guest.Reset()
-	n.EPT.Reset()
-	n.NTLB.Reset()
-}

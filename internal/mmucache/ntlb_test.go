@@ -61,27 +61,3 @@ func TestNTLBDisabledAndFlush(t *testing.T) {
 		t.Errorf("live after flush = %d", n.Live())
 	}
 }
-
-// TestNestedFlushScopes pins the cache-retention contract: FlushGuest
-// (guest context switch) keeps the EPT dimension warm, Flush (EPTP
-// change) drops everything.
-func TestNestedFlushScopes(t *testing.T) {
-	g := arch.DefaultSystem().PSC
-	nc := NewNested(g, g, 8)
-	nc.Guest.Insert(arch.LevelPD, 0x1000_0000, 0xa000)
-	nc.EPT.Insert(arch.LevelPD, 0x2000_0000, 0xb000)
-	nc.NTLB.Insert(0x3000, 0xc000, arch.Page4K)
-
-	nc.FlushGuest()
-	if nc.Guest.Live(arch.LevelPD) != 0 {
-		t.Error("FlushGuest kept guest PSC entries")
-	}
-	if nc.EPT.Live(arch.LevelPD) != 1 || nc.NTLB.Live() != 1 {
-		t.Error("FlushGuest dropped EPT-dimension state")
-	}
-
-	nc.Flush()
-	if nc.EPT.Live(arch.LevelPD) != 0 || nc.NTLB.Live() != 0 {
-		t.Error("Flush kept EPT-dimension state")
-	}
-}

@@ -144,7 +144,7 @@ func (w *numaWalker) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.R
 		// root (the remote walk replication exists to avoid) and sync
 		// the replica on success.
 		if aborted := w.Charge(&p, va, budget, w, &r, false); !aborted {
-			w.Resolve(&p, va, w.PSC().Top(), cr3)
+			w.Resolve(&p, va, w.PSC().Top(), cr3, 0)
 			w.Charge(&p, va, budget, w, &r, true)
 			if r.OK {
 				w.installReplica(va, r.Frame, r.Size)

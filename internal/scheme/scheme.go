@@ -9,8 +9,10 @@
 // whatever structure the proposal adds), resolves each TLB miss, defines
 // which flush scopes drop which structures, and declares the perf events
 // and refute identities its accounting is held to. Every backend is a
-// delta on walker.Walker's radix kernel (Descend, Resolve, Charge), so
-// there is one radix walk in the simulator. Four backends ship:
+// delta on walker.Walker's radix kernel (Descend, Resolve, Charge), as
+// is the nested walker machine construction builds outside this seam
+// (one Walker per dimension), so there is one radix walk in the
+// simulator. Four backends ship:
 //
 //   - radix: walker.Walker itself, byte-identical to the pre-scheme
 //     machine (the flatgold goldens prove it); with NUMA.Nodes > 1 it

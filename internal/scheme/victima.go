@@ -97,7 +97,7 @@ func (v *victima) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Resu
 		// page sharing the block) — a page fault, whose retry hits the
 		// block again with the entry filled in.
 		r.BlockHit = true
-		v.Resolve(&p, va, arch.LevelPT, base)
+		v.Resolve(&p, va, arch.LevelPT, base, 1)
 	} else {
 		v.Descend(&p, va, cr3, &r)
 	}

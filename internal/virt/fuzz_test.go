@@ -7,7 +7,6 @@ import (
 	"atscale/internal/arch"
 	"atscale/internal/cache"
 	"atscale/internal/mem"
-	"atscale/internal/mmucache"
 	"atscale/internal/pagetable"
 	"atscale/internal/virt"
 	"atscale/internal/walker"
@@ -44,8 +43,8 @@ func FuzzNestedTranslationComposition(f *testing.F) {
 
 		cfg := arch.DefaultSystem()
 		vc := arch.DefaultVirt()
-		nc := mmucache.NewNested(cfg.PSC, vc.EPTPSC, vc.NTLBEntries)
-		w := walker.NewNested(host, hyp.Root(), eptPages, nc, cache.NewHierarchy(&cfg))
+		vc.EPTPages = eptPages
+		w := walker.NewNested(host, hyp.Root(), cfg.PSC, vc, cache.NewHierarchy(&cfg))
 
 		// Map a randomized set of guest pages. The mix byte biases the
 		// size distribution; 1GB guest pages are rare (they back a lot of

@@ -125,8 +125,9 @@ func sizeAtLevel(level arch.Level) arch.PageSize {
 
 // Engine is the hardware translation engine the core drives on a TLB
 // miss. The radix Walker is the production implementation; the hashed
-// walker (hashed.go), the nested walker (nested.go) and the translation
-// schemes (internal/scheme) are the others. Flush is the context switch
+// walker (hashed.go), the nested walker (nested.go, two radix Walkers
+// joined by an nTLB) and the translation schemes (internal/scheme) are
+// the others. Flush is the context switch
 // (address-space-keyed structures drop; physically keyed ones may
 // survive, like data caches), InvalidateBlock the promotion shootdown.
 type Engine interface {
@@ -194,10 +195,10 @@ func locName(loc cache.HitLoc) string {
 }
 
 // Walker is the radix hardware walker plus its paging-structure caches.
-// Its exported kernel (Descend, Resolve, Charge and the span helpers) is
-// the native radix walk: the translation schemes embed a Walker and
-// express themselves as deltas on it. The nested walker (nested.go)
-// still runs its own guest and EPT loops.
+// Its kernel (Descend, Resolve, Charge and the span helpers) is the one
+// radix walk in the simulator: the translation schemes embed a Walker
+// and express themselves as deltas on it, and the nested walker runs one
+// Walker per dimension.
 type Walker struct {
 	phys   *mem.Phys
 	psc    *mmucache.PSC
@@ -273,8 +274,11 @@ type Path struct {
 	lvls   [maxSteps]arch.Level
 	steps  int
 	ok     bool
-	frame  arch.PAddr
-	leaf   arch.Level
+	// open marks a descent cut short by Resolve's step limit at a
+	// present non-leaf entry: frames[steps-1] is the next table.
+	open  bool
+	frame arch.PAddr
+	leaf  arch.Level
 }
 
 // OK reports whether the descent ended at a present leaf (false: a
@@ -290,16 +294,18 @@ func (p *Path) LastEntry() arch.PAddr { return p.ea[p.steps-1] }
 func (w *Walker) Descend(p *Path, va arch.VAddr, root arch.PAddr, r *Result) {
 	level, base := w.psc.LookupDeepest(va, arch.LevelPT, root)
 	r.GuestPSCHit = level != w.psc.Top()
-	w.Resolve(p, va, level, base)
+	w.Resolve(p, va, level, base, 0)
 }
 
 // Resolve fills p with the radix descent for va starting at (level,
-// base), with raw physical reads. The descent ends at a present leaf or a
-// non-present entry; budget abortion is decided by Charge.
+// base), with raw physical reads. The descent ends at a present leaf, a
+// non-present entry, or — once it has taken limit steps (0: no limit) —
+// a present non-leaf entry, leaving the path open; budget abortion is
+// decided by Charge.
 //
 //atlint:hotpath
-func (w *Walker) Resolve(p *Path, va arch.VAddr, level arch.Level, base arch.PAddr) {
-	p.steps, p.ok = 0, false
+func (w *Walker) Resolve(p *Path, va arch.VAddr, level arch.Level, base arch.PAddr, limit int) {
+	p.steps, p.ok, p.open = 0, false, false
 	for {
 		a := pagetable.EntryAddr(base, level, va)
 		p.ea[p.steps], p.lvls[p.steps] = a, level
@@ -313,6 +319,10 @@ func (w *Walker) Resolve(p *Path, va arch.VAddr, level arch.Level, base arch.PAd
 			return
 		}
 		p.frames[p.steps-1] = e.Frame()
+		if p.steps == limit {
+			p.open = true
+			return
+		}
 		base = e.Frame()
 		level--
 	}
@@ -332,13 +342,15 @@ type LoadAdjuster interface {
 // Access per step plus stepOverhead, repriced by adj when non-nil,
 // aborting after the load that first exceeds budget (that load still
 // touched cache state; later ones never issue). Every step the walk
-// descended past feeds the paging-structure caches, and each performed
-// load gets a trace slice. Cycles continue from r.Cycles, so a walk may
+// descended past — an open path's last step included, once loaded within
+// budget — feeds the paging-structure caches, and each performed load
+// gets a trace slice. Cycles continue from r.Cycles, so a walk may
 // charge several partial paths against one budget. With terminal set
 // Charge also applies the path's outcome — Completed, and OK/Frame/Size
 // on a present leaf; a non-terminal call charges a partial descent (the
 // replica prefix a Mitosis walk read before falling back to the master
-// table). It reports whether the budget aborted the walk.
+// table, or one guest step of a nested walk). It reports whether the
+// budget aborted the walk.
 //
 //atlint:hotpath
 func (w *Walker) Charge(p *Path, va arch.VAddr, budget uint64, adj LoadAdjuster, r *Result, terminal bool) (aborted bool) {
@@ -363,11 +375,16 @@ func (w *Walker) Charge(p *Path, va arch.VAddr, budget uint64, adj LoadAdjuster,
 	r.Cycles = cycles
 	r.Loads += n
 	r.GuestLoads += n
-	for i := 0; i+1 < n; i++ {
+	aborted = cycles > budget
+	descended := n - 1
+	if p.open && !aborted {
+		descended = n
+	}
+	for i := 0; i < descended; i++ {
 		w.psc.Insert(p.lvls[i], va, p.frames[i])
 	}
-	if cycles > budget {
-		return true // aborted: Completed stays false
+	if aborted {
+		return true // Completed stays false
 	}
 	if terminal {
 		r.Completed = true

@@ -52,3 +52,21 @@ func BenchmarkWalkSpread(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNestedWalkSpread is BenchmarkWalkSpread under nested paging
+// (4 KB guest pages over a 4 KB EPT, default walk caches): the guest
+// PSCs, EPT PSCs and nTLB thrash, so most walks take EPT walks.
+func BenchmarkNestedWalkSpread(b *testing.B) {
+	const pages = 1 << 16
+	f := newNestedFixture(b, arch.Page4K, false)
+	for p := uint64(0); p < pages; p++ {
+		f.mapGuestPage(b, arch.VAddr(p<<12), arch.Page4K)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		va := arch.VAddr(uint64(i) * 0x9E3779B9 % pages << 12)
+		if !f.w.Walk(va, f.pt.Root(), NoBudget).OK {
+			b.Fatal("walk failed")
+		}
+	}
+}
