@@ -4,7 +4,7 @@
 // paper's PTE-hotness results (Fig. 8) and the mcf "PTEs outcompete data"
 // anomaly (§V-C).
 //
-// Caches are set-associative with true LRU. Only presence is modelled (no
+// Caches are set-associative with true LRU by default. Only presence is modelled (no
 // data movement): a line address either hits or misses, and the hierarchy
 // converts the first hit level into a load-to-use latency.
 package cache
@@ -20,9 +20,8 @@ const invalidTag = math.MaxUint64
 
 // replKind is a replacement policy decoded to a branch-cheap enum at
 // construction. The config names policies as strings; comparing those
-// per reference (touch and victim run on every probe) would put string
-// compares in the hierarchy's hottest loop and push Lookup past the
-// compiler's inlining budget.
+// per reference would put string compares in the hierarchy's hottest
+// loop.
 type replKind uint8
 
 const (
@@ -40,11 +39,15 @@ type Cache struct {
 	latency uint64
 	kind    replKind
 
+	// tags holds each set's ways. Under LRU a set is kept in recency
+	// order, most recent first, with its invalid ways at the tail, so
+	// the victim is always the last way and exact LRU needs no per-way
+	// age. Random and NRU choose a physical way index, so their lines
+	// stay in the way they were filled.
 	tags []uint64
-	// stamp carries the policy's recency state: an LRU timestamp, or an
-	// NRU reference bit.
+	// stamp holds NRU's per-way reference bits; it is nil under the
+	// other policies.
 	stamp []uint64
-	clock uint64
 	// rng is the random policy's xorshift state.
 	rng uint64
 
@@ -84,8 +87,10 @@ func New(g arch.CacheGeometry) *Cache {
 		latency: g.Latency,
 		kind:    kind,
 		tags:    make([]uint64, lines),
-		stamp:   make([]uint64, lines),
 		rng:     rngSeed,
+	}
+	if kind == replNRU {
+		c.stamp = make([]uint64, lines)
 	}
 	if sets > 0 && sets&(sets-1) == 0 {
 		c.pow2, c.mask = true, sets-1
@@ -97,130 +102,136 @@ func New(g arch.CacheGeometry) *Cache {
 }
 
 // Reset returns the cache to its just-constructed state: every way
-// invalid, recency cleared, the policy clock and random state reseeded.
-// A reset cache is indistinguishable from a freshly built one, which is
+// invalid, NRU reference bits cleared, the random state reseeded. A
+// reset cache is indistinguishable from a freshly built one, which is
 // what lets campaign machines be pooled without breaking determinism.
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	clear(c.stamp)
-	c.clock = 0
 	c.rng = rngSeed
 }
 
 // Latency returns the level's load-to-use latency in cycles.
 func (c *Cache) Latency() uint64 { return c.latency }
 
-// touch refreshes a way's recency state on a reference: an NRU
-// reference bit, or an LRU timestamp (random keeps timestamps too but
-// ignores them).
-func (c *Cache) touch(i uint64) {
-	s := c.clock
-	if c.kind == replNRU {
-		s = 1
-	}
-	c.stamp[i] = s
-}
-
 // Lookup probes for the line and refreshes its recency state on a hit. It
 // does not allocate on a miss (the hierarchy decides fills).
+func (c *Cache) Lookup(line uint64) bool { return c.probe(c.setBase(line), line) }
+
+// probe is Lookup on the set starting at base. A hit on way 0 changes
+// no recency state under any policy, so that check is inlined into the
+// hierarchy's access; every other probe scans the set. (Way 0 is an LRU
+// set's most recent line, and a valid NRU way 0 always has its
+// reference bit set: the only bulk clear refills way 0 at once.)
 //
 //atlint:hotpath
 //atlint:inline
-func (c *Cache) Lookup(line uint64) bool {
-	base := c.setBase(line)
-	c.clock++
-	// This way scan is the single hottest loop in the simulator (every
-	// demand access and PTE load probes three levels). It must stay
-	// within the compiler's inlining budget: losing the inline into
-	// Hierarchy.Access costs more than any micro-shaving here gains —
-	// which is why the touch logic is open-coded with the stamp value
-	// hoisted out of the loop.
-	s := c.clock
-	if c.kind == replNRU {
-		s = 1
+func (c *Cache) probe(base, line uint64) bool {
+	if c.tags[base] == line {
+		return true
 	}
-	for w := uint64(0); w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.stamp[base+w] = s
-			return true
+	return c.scan(base, line)
+}
+
+// scan is probe's way scan. A hit moves an LRU line to the front of its
+// set and sets an NRU line's reference bit; random keeps no recency.
+//
+//atlint:hotpath
+func (c *Cache) scan(base, line uint64) bool {
+	set := c.tags[base : base+c.ways]
+	for w, tag := range set {
+		if tag != line {
+			continue
 		}
+		switch c.kind {
+		case replLRU:
+			copy(set[1:w+1], set[:w])
+			set[0] = line
+		case replNRU:
+			c.stamp[base+uint64(w)] = 1
+		}
+		return true
 	}
 	return false
 }
 
-// victim picks the way to evict in a full set starting at base.
+// insert fills a line that the last probe of its set, at base, missed.
+// An LRU set shifts down one way, dropping its last (least recent or
+// invalid) way, and takes the line at the front.
+//
+//atlint:hotpath
+func (c *Cache) insert(base, line uint64) {
+	set := c.tags[base : base+c.ways]
+	if c.kind == replLRU {
+		copy(set[1:], set)
+		set[0] = line
+		return
+	}
+	i := c.victim(base)
+	c.tags[i] = line
+	if c.stamp != nil {
+		c.stamp[i] = 1
+	}
+}
+
+// victim picks the way a random or NRU set fills: its first invalid way,
+// else the policy's choice.
 func (c *Cache) victim(base uint64) uint64 {
-	switch c.kind {
-	case replRandom:
+	for w := uint64(0); w < c.ways; w++ {
+		if c.tags[base+w] == invalidTag {
+			return base + w
+		}
+	}
+	if c.kind == replRandom {
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
 		return base + c.rng%c.ways
-	case replNRU:
-		for w := uint64(0); w < c.ways; w++ {
-			if c.stamp[base+w] == 0 {
-				return base + w
-			}
-		}
-		// All referenced: clear the set's bits and take way 0.
-		for w := uint64(0); w < c.ways; w++ {
-			c.stamp[base+w] = 0
-		}
-		return base
-	default: // LRU
-		stamps := c.stamp[base : base+c.ways]
-		victim := 0
-		oldest := uint64(math.MaxUint64)
-		for w, s := range stamps {
-			if s < oldest {
-				victim, oldest = w, s
-			}
-		}
-		return base + uint64(victim)
 	}
+	for w := uint64(0); w < c.ways; w++ {
+		if c.stamp[base+w] == 0 {
+			return base + w
+		}
+	}
+	// All referenced: clear the set's bits and take way 0.
+	clear(c.stamp[base : base+c.ways])
+	return base
 }
 
 // Fill inserts the line, evicting a victim if the set is full. Filling a
 // line that is already present only refreshes its recency state.
 func (c *Cache) Fill(line uint64) {
 	base := c.setBase(line)
-	c.clock++
-	set := c.tags[base : base+c.ways]
-	empty := -1
-	for w, tag := range set {
-		if tag == line {
-			c.touch(base + uint64(w))
-			return
-		}
-		if tag == invalidTag && empty < 0 {
-			empty = w
-		}
+	if !c.probe(base, line) {
+		c.insert(base, line)
 	}
-	var i uint64
-	if empty >= 0 {
-		i = base + uint64(empty)
-	} else {
-		i = c.victim(base)
-	}
-	c.tags[i] = line
-	c.touch(i)
 }
 
-// Invalidate removes the line if present.
+// Invalidate removes the line if present. An LRU set closes the gap, so
+// its invalid ways stay at the tail.
 func (c *Cache) Invalidate(line uint64) {
 	base := c.setBase(line)
-	for w := uint64(0); w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.tags[base+w] = invalidTag
-			c.stamp[base+w] = 0
+	set := c.tags[base : base+c.ways]
+	for w, tag := range set {
+		if tag != line {
+			continue
+		}
+		if c.kind == replLRU {
+			copy(set[w:], set[w+1:])
+			set[len(set)-1] = invalidTag
 			return
 		}
+		set[w] = invalidTag
+		if c.stamp != nil {
+			c.stamp[base+uint64(w)] = 0
+		}
+		return
 	}
 }
 
-// Contains probes without touching LRU state (test/debug helper).
+// Contains probes without touching recency state (test/debug helper).
 func (c *Cache) Contains(line uint64) bool {
 	base := c.setBase(line)
 	for w := uint64(0); w < c.ways; w++ {
@@ -281,27 +292,31 @@ func NewHierarchy(cfg *arch.SystemConfig) *Hierarchy {
 
 // Access performs a load of the line containing pa: it returns the
 // load-to-use latency and the level that satisfied it, then fills the line
-// into every level above the hit (mostly-inclusive, as on Haswell).
+// into every level above the hit (mostly-inclusive, as on Haswell). Each
+// level is probed once; the levels that missed fill from that probe.
 //
 //atlint:hotpath
 func (h *Hierarchy) Access(pa arch.PAddr) (latency uint64, loc HitLoc) {
 	line := uint64(pa) >> 6 // arch.CacheLineSize == 64
-	switch {
-	case h.l1.Lookup(line):
+	b1 := h.l1.setBase(line)
+	if h.l1.probe(b1, line) {
 		return h.l1.latency, HitL1
-	case h.l2.Lookup(line):
-		h.l1.Fill(line)
-		return h.l2.latency, HitL2
-	case h.l3.Lookup(line):
-		h.l1.Fill(line)
-		h.l2.Fill(line)
-		return h.l3.latency, HitL3
-	default:
-		h.l1.Fill(line)
-		h.l2.Fill(line)
-		h.l3.Fill(line)
-		return h.dram, HitMem
 	}
+	b2 := h.l2.setBase(line)
+	if h.l2.probe(b2, line) {
+		h.l1.insert(b1, line)
+		return h.l2.latency, HitL2
+	}
+	b3 := h.l3.setBase(line)
+	if h.l3.probe(b3, line) {
+		h.l1.insert(b1, line)
+		h.l2.insert(b2, line)
+		return h.l3.latency, HitL3
+	}
+	h.l1.insert(b1, line)
+	h.l2.insert(b2, line)
+	h.l3.insert(b3, line)
+	return h.dram, HitMem
 }
 
 // Reset restores every level to its just-constructed state.

@@ -153,7 +153,7 @@ func (c *dramCache) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Re
 // Reset implements walker.Engine.
 func (c *dramCache) Reset() {
 	c.Walker.Reset()
-	c.dir.reset()
+	c.dir.flush()
 }
 
 // TagsLive returns the number of valid stacked-die tag entries

@@ -230,7 +230,7 @@ func (w *numaWalker) Nodes() int { return w.nodes }
 
 // SetNode implements Migratory: the thread lands on node n with cold
 // per-core walk caches (the machine flushes the TLBs; the PSCs flush
-// here, clocks running like any other flush).
+// here).
 func (w *numaWalker) SetNode(n int) {
 	n %= w.nodes
 	if n == w.node {

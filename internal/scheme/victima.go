@@ -130,7 +130,7 @@ func (v *victima) InvalidateBlock(va arch.VAddr) {
 // Reset implements walker.Engine.
 func (v *victima) Reset() {
 	v.Walker.Reset()
-	v.dir.reset()
+	v.dir.flush()
 }
 
 // BlockDirLive returns the number of valid PTE-block directory entries

@@ -71,8 +71,8 @@ func (w *Nested) EnableTrace(p *telemetry.Process, clock func() uint64) {
 	w.ept.trk = p.Track("walker (ept)")
 }
 
-// Reset implements Engine: both dimensions' caches emptied with their
-// clocks rewound, trace detached.
+// Reset implements Engine: both dimensions' caches emptied, trace
+// detached.
 func (w *Nested) Reset() {
 	w.guest.Reset()
 	w.ept.Reset()

@@ -138,9 +138,8 @@ type Engine interface {
 	// InvalidateBlock drops partial-walk state covering va's 2 MB block
 	// (hugepage promotion's PDE shootdown).
 	InvalidateBlock(va arch.VAddr)
-	// Reset returns the engine to its just-constructed state, clocks
-	// included and trace detached, so a renewed machine is
-	// byte-identical to a fresh one.
+	// Reset returns the engine to its just-constructed state, trace
+	// detached, so a renewed machine is byte-identical to a fresh one.
 	Reset()
 	// EnableTrace attaches the engine's timeline track(s) under the
 	// machine's process; clock supplies the simulated-cycle clock.
@@ -228,8 +227,8 @@ func (w *Walker) EnableTrace(p *telemetry.Process, clock func() uint64) {
 // Flush implements Engine.
 func (w *Walker) Flush() { w.psc.Flush() }
 
-// Reset implements Engine: paging structure caches emptied with their
-// clocks rewound, trace detached.
+// Reset implements Engine: paging structure caches emptied, trace
+// detached.
 func (w *Walker) Reset() {
 	w.psc.Reset()
 	w.trk, w.clock = nil, nil
