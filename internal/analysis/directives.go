@@ -24,7 +24,7 @@ import (
 //	//atlint:noreset <why>           field intentionally survives Reset (resetdiscipline)
 //
 // Several directives may share one comment by chaining them:
-// `//atlint:hotpath //atlint:inline the PR 7 cost-78 contract`.
+// `//atlint:hotpath //atlint:inline the cache probe's inline contract`.
 //
 // Suppression directives cover diagnostics on their own line and the
 // line immediately below, so both trailing-comment and

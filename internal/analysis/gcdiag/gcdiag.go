@@ -3,8 +3,8 @@
 // output into a queryable report. hotalloc uses it to prove that
 // //atlint:hotpath functions allocate nothing in steady state and that
 // //atlint:inline functions stay under the inliner budget — the
-// compile-time version of the AllocsPerRun==0 tests and the manual
-// cost-78 check on Cache.Lookup.
+// compile-time version of the AllocsPerRun==0 tests and of reading the
+// inliner's verdict on the cache probe by hand.
 //
 // Two facts about the -m=2 stream shape everything here:
 //

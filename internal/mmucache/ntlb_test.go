@@ -22,6 +22,11 @@ func TestNTLBLookupInsert(t *testing.T) {
 	if _, _, ok := n.Lookup(0x2000); ok {
 		t.Error("neighbouring page hit")
 	}
+	// Re-inserting a cached page refreshes it in place.
+	n.Insert(0x1000, 0xb000, arch.Page4K)
+	if hbase, _, ok := n.Lookup(0x1000); !ok || hbase != 0xb000 || n.Live() != 1 {
+		t.Fatalf("re-insert: lookup = %#x,%v with %d live entries, want 0xb000,true with 1", uint64(hbase), ok, n.Live())
+	}
 
 	// A 2MB mapping covers all its 4KB chunks.
 	n.Insert(0x20_0000, 0x40_0000, arch.Page2M)

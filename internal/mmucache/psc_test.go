@@ -96,6 +96,24 @@ func TestInvalidatePrefix(t *testing.T) {
 	if level, _ := p.LookupDeepest(va, arch.LevelPT, cr3); level == arch.LevelPT {
 		t.Error("entry survived invalidation")
 	}
+
+	// In a full cache, the invalidated entry's slot takes the next
+	// insert: no live entry is evicted for it.
+	p = newPSC()
+	blk := func(i uint64) arch.VAddr { return arch.VAddr(i << arch.PageShift2M) }
+	for i := uint64(0); i < 8; i++ {
+		p.Insert(arch.LevelPD, blk(i), arch.PAddr(0x1000*(i+1)))
+	}
+	p.InvalidatePrefix(arch.LevelPD, blk(3))
+	if p.Live(arch.LevelPD) != 7 {
+		t.Errorf("live after invalidation = %d, want 7", p.Live(arch.LevelPD))
+	}
+	p.Insert(arch.LevelPD, blk(8), 0x9000)
+	for i := uint64(0); i <= 8; i++ {
+		if level, _ := p.LookupDeepest(blk(i), arch.LevelPT, cr3); (level == arch.LevelPT) != (i != 3) {
+			t.Errorf("block %d: PDE-cache hit = %v, want %v", i, level == arch.LevelPT, i != 3)
+		}
+	}
 }
 
 func TestFlush(t *testing.T) {
