@@ -130,6 +130,7 @@ func TestRefuteExperimentRuns(t *testing.T) {
 			t.Errorf("rendered output lacks %q", needle)
 		}
 	}
+	flatgoldCompare(t, "refute-tables.txt", []byte(out))
 	// The session checker absorbed every variant's units.
 	if got := cfg.Refute.Report().Units; got == 0 {
 		t.Error("session checker absorbed no units")
