@@ -36,33 +36,39 @@ const (
 
 // refuteVariant is one adversarial configuration.
 type refuteVariant struct {
-	name    string
-	mutate  func(*RunConfig)
-	tenants int  // >0: multi-tenant consolidation unit instead of a ladder
-	only4K  bool // ladder under 4KB only (hashed walker rejects superpage policies)
+	name   string
+	mutate func(*RunConfig)
+	// at4K, when set, replaces the three-policy ladder sweep: the
+	// variant runs the returned spec at each returned param under 4KB
+	// pages only (the hashed walker rejects superpage policies, and the
+	// tenant kernel is a 4KB study). ladder is the refute sweep's spec.
+	at4K func(cfg *RunConfig, ladder *workloads.Spec) (*workloads.Spec, []uint64)
 }
 
 // refuteVariants enumerates the perturbation matrix.
 func refuteVariants() []refuteVariant {
+	tenants := func(n uint64) func(*RunConfig, *workloads.Spec) (*workloads.Spec, []uint64) {
+		return func(c *RunConfig, _ *workloads.Spec) (*workloads.Spec, []uint64) {
+			return tenantSpec(c.Seed), []uint64{n}
+		}
+	}
 	return []refuteVariant{
 		{name: "base"},
-		{name: "hashed-pt", mutate: func(c *RunConfig) { c.System.PageTable = "hashed" }, only4K: true},
+		{name: "hashed-pt", mutate: func(c *RunConfig) { c.System.PageTable = "hashed" },
+			at4K: func(c *RunConfig, ladder *workloads.Spec) (*workloads.Spec, []uint64) {
+				return ladder, ladder.Sizes(c.Preset)
+			}},
 		{name: "promo", mutate: func(c *RunConfig) { c.EnablePromotion = true }},
 		{name: "lvl5", mutate: func(c *RunConfig) { c.System.PagingLevels = 5 }},
-		{name: "virt-ept4k", mutate: func(c *RunConfig) { c.System = sysWith(c.System, arch.Page4K) }},
-		{name: "virt-ept2m", mutate: func(c *RunConfig) { c.System = sysWith(c.System, arch.Page2M) }},
+		{name: "virt-ept4k", mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page4K) }},
+		{name: "virt-ept2m", mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page2M) }},
 		{name: "sampling", mutate: func(c *RunConfig) {
 			c.SamplePeriod = refuteSamplePeriod
 			c.SampleBuffer = refuteSampleRing
 		}},
-		{name: "virt-tenants2", tenants: 2},
-		{name: "virt-tenants4", tenants: 4},
+		{name: "virt-tenants2", mutate: virtualizeTenants, at4K: tenants(2)},
+		{name: "virt-tenants4", mutate: virtualizeTenants, at4K: tenants(4)},
 	}
-}
-
-// sysWith returns sys virtualized at the given EPT leaf size.
-func sysWith(sys arch.SystemConfig, ept arch.PageSize) arch.SystemConfig {
-	return virtualize(sys, ept)
 }
 
 // RefuteVariantRow is one adversarial variant's verdict.
@@ -91,6 +97,10 @@ type RefuteResult struct {
 // are absorbed into it too, so the CLI's exit status covers the
 // adversarial units as well.
 func RefuteExperiment(s *Session) (*RefuteResult, error) {
+	ladder, err := workloads.ByName(refuteSweepWorkload)
+	if err != nil {
+		return nil, err
+	}
 	variants := refuteVariants()
 	res := &RefuteResult{}
 	reports := make([]*refute.Report, len(variants))
@@ -109,36 +119,17 @@ func RefuteExperiment(s *Session) (*RefuteResult, error) {
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}
-		switch {
-		case v.tenants > 0:
-			err := forEachUnit(&cfg, 1, func(int) error {
-				_, err := runMultiTenant(&cfg, v.tenants)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("refute variant %s: %w", v.name, err)
-			}
-		case v.only4K:
-			spec, err := workloads.ByName(refuteSweepWorkload)
-			if err != nil {
-				return nil, err
-			}
-			params := spec.Sizes(cfg.Preset)
+		if v.at4K != nil {
+			spec, params := v.at4K(&cfg, ladder)
 			err = forEachUnit(&cfg, len(params), func(i int) error {
 				_, err := Run(&cfg, spec, params[i], arch.Page4K)
 				return err
 			})
-			if err != nil {
-				return nil, fmt.Errorf("refute variant %s: %w", v.name, err)
-			}
-		default:
-			spec, err := workloads.ByName(refuteSweepWorkload)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := SweepOverhead(&cfg, spec); err != nil {
-				return nil, fmt.Errorf("refute variant %s: %w", v.name, err)
-			}
+		} else {
+			_, err = SweepOverhead(&cfg, ladder)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("refute variant %s: %w", v.name, err)
 		}
 		rep := checker.Report()
 		reports[vi] = rep

@@ -98,7 +98,7 @@ type RunConfig struct {
 	Events *telemetry.Hub
 	// UnitTag is appended verbatim to every unit name. Campaigns that
 	// re-run identically-parameterized units under config variants the
-	// name does not otherwise encode (sampling, tenant counts) tag them
+	// name does not otherwise encode (sampling, EPT leaf sizes) tag them
 	// so unit names — which key the refute report and the timeline —
 	// stay campaign-unique.
 	UnitTag string

@@ -7,8 +7,6 @@ import (
 
 	"atscale/internal/arch"
 	"atscale/internal/machine"
-	"atscale/internal/perf"
-	"atscale/internal/refute"
 	"atscale/internal/workloads"
 )
 
@@ -51,7 +49,6 @@ type VirtMatrixRow struct {
 	WCPI                 float64
 	LoadsPerWalk         float64
 	EPTShare             float64
-	HostMapped           uint64
 }
 
 // VirtTenantRow is one consolidation level.
@@ -78,6 +75,15 @@ func virtualize(sys arch.SystemConfig, ept arch.PageSize) arch.SystemConfig {
 	return sys
 }
 
+// virtualizeTenants puts a consolidation unit's config under nested
+// paging: a config already virtualized keeps its EPT, any other gets
+// 4KB EPT leaves.
+func virtualizeTenants(c *RunConfig) {
+	if !c.System.Virt.Enabled {
+		c.System = virtualize(c.System, arch.Page4K)
+	}
+}
+
 // VirtExperiment runs all three virtualization studies on the session's
 // worker pool. Every unit is an independent seed-deterministic machine,
 // so parallel campaigns render byte-identical to serial ones.
@@ -88,6 +94,12 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 		return nil, err
 	}
 	params := spec.Sizes(cfg.Preset)
+	// The matrix and tenant studies measure one mid-ladder rung: large
+	// enough to pressure the TLBs, small enough to keep the extra
+	// machines cheap. The matrix's first cell (4KB guest / 4KB EPT) is
+	// the ladder's nested mid-rung unit, so it is read from the ladder
+	// rather than simulated again.
+	mid := (len(params) - 1) / 2
 	matrix := []struct{ guest, ept arch.PageSize }{
 		{arch.Page4K, arch.Page4K},
 		{arch.Page4K, arch.Page2M},
@@ -99,66 +111,41 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 	tenantCounts := []int{1, 2, 4}
 
 	// Unit layout: [2*len(params)] ladder (native, nested interleaved),
-	// then the matrix runs, then the tenant runs.
+	// then the matrix cells after the first, then the tenant runs.
 	nSweep := 2 * len(params)
-	nUnits := nSweep + len(matrix) + len(tenantCounts)
-	sweepRes := make([]RunResult, nSweep)
-	matrixRes := make([]VirtMatrixRow, len(matrix))
-	tenantRes := make([]VirtTenantRow, len(tenantCounts))
-
-	// The matrix and tenant studies measure one mid-ladder rung: large
-	// enough to pressure the TLBs, small enough to keep 6 extra machines
-	// cheap.
-	midParam := params[(len(params)-1)/2]
-
-	err = forEachUnit(&cfg, nUnits, func(i int) error {
+	nMatrix := len(matrix) - 1
+	res := make([]RunResult, nSweep+nMatrix+len(tenantCounts))
+	err = forEachUnit(&cfg, len(res), func(i int) error {
+		u := cfg
+		unitSpec, param, ps := spec, uint64(0), arch.Page4K
 		switch {
 		case i < nSweep:
-			u := cfg
-			ps := arch.Page4K
+			param = params[i/2]
 			if i%2 == 1 {
 				u.System = virtualize(u.System, arch.Page4K)
 			}
-			r, err := Run(&u, spec, params[i/2], ps)
-			if err != nil {
-				return err
-			}
-			sweepRes[i] = r
-			return nil
-		case i < nSweep+len(matrix):
-			j := i - nSweep
-			u := cfg
-			u.System = virtualize(u.System, matrix[j].ept)
-			r, err := Run(&u, spec, midParam, matrix[j].guest)
-			if err != nil {
-				return err
-			}
-			matrixRes[j] = VirtMatrixRow{
-				GuestPages:   matrix[j].guest,
-				EPTPages:     matrix[j].ept,
-				Footprint:    r.Footprint,
-				WCPI:         r.Metrics.WCPI,
-				LoadsPerWalk: r.Metrics.Eq1.WalkerLoadsPerWalk,
-				EPTShare:     r.Metrics.EPTShare,
-			}
-			return nil
+		case i < nSweep+nMatrix:
+			c := matrix[i-nSweep+1]
+			u.System = virtualize(u.System, c.ept)
+			// The unit name encodes the guest page size but not the
+			// EPT leaf, which the tag adds.
+			u.UnitTag += " +ept" + c.ept.String()
+			param, ps = params[mid], c.guest
 		default:
-			j := i - nSweep - len(matrix)
-			row, err := runMultiTenant(&cfg, tenantCounts[j])
-			if err != nil {
-				return err
-			}
-			tenantRes[j] = row
-			return nil
+			virtualizeTenants(&u)
+			unitSpec, param = tenantSpec(u.Seed), uint64(tenantCounts[i-nSweep-nMatrix])
 		}
+		r, err := Run(&u, unitSpec, param, ps)
+		res[i] = r
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	r := &VirtResult{Matrix: matrixRes, Tenants: tenantRes}
+	r := &VirtResult{}
 	for i := 0; i < len(params); i++ {
-		nat, nst := sweepRes[2*i], sweepRes[2*i+1]
+		nat, nst := res[2*i], res[2*i+1]
 		row := VirtSweepRow{
 			Param:              nat.Param,
 			Footprint:          nat.Footprint,
@@ -174,6 +161,23 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 		}
 		r.Sweep = append(r.Sweep, row)
 	}
+	for j, c := range matrix {
+		m := &res[2*mid+1]
+		if j > 0 {
+			m = &res[nSweep+j-1]
+		}
+		r.Matrix = append(r.Matrix, VirtMatrixRow{
+			GuestPages:   c.guest,
+			EPTPages:     c.ept,
+			Footprint:    m.Footprint,
+			WCPI:         m.Metrics.WCPI,
+			LoadsPerWalk: m.Metrics.Eq1.WalkerLoadsPerWalk,
+			EPTShare:     m.Metrics.EPTShare,
+		})
+	}
+	for j, n := range tenantCounts {
+		r.Tenants = append(r.Tenants, tenantRow(n, cfg.Budget, &res[nSweep+nMatrix+j]))
+	}
 	return r, nil
 }
 
@@ -186,103 +190,93 @@ const tenantSliceAccesses = 20_000
 // pressured.
 const tenantFootprintBytes = 16 * arch.MB
 
-// runMultiTenant measures the consolidation study's one data point: n
-// guest address spaces over one shared EPT, round-robined in
-// tenantSliceAccesses slices until the config's access budget is spent.
-// Workload instances are single-run, so the tenants run a direct
-// machine-level kernel: uniform random loads over a per-tenant array
-// (the uniform-synth access pattern, restated per tenant).
-func runMultiTenant(cfg *RunConfig, n int) (VirtTenantRow, error) {
-	sys := cfg.System
-	if !sys.Virt.Enabled {
-		sys = virtualize(sys, arch.Page4K)
+// tenantSpec is the consolidation study's workload: param guest address
+// spaces over one shared EPT, each running uniform random loads over
+// its own tenantFootprintBytes array (the uniform-synth access pattern),
+// round-robined in tenantSliceAccesses slices until the budget is
+// spent. Tenant t draws from seed + t*7919. It needs a virtualized
+// machine, so it stays out of the workload registry.
+func tenantSpec(seed int64) *workloads.Spec {
+	return &workloads.Spec{
+		Program:   "multi-tenant",
+		Generator: "urand",
+		Suite:     "synthetic",
+		Kind:      "consolidated guests",
+		Build: func(m *machine.Machine, param uint64) (workloads.Instance, error) {
+			n := int(param)
+			if n < 1 {
+				return nil, fmt.Errorf("multi-tenant: %d tenants", param)
+			}
+			for t := 1; t < n; t++ {
+				if _, err := m.AddTenant(); err != nil {
+					return nil, err
+				}
+			}
+			// Setup (untimed): every tenant builds and pre-faults its
+			// array.
+			in := &tenantInstance{m: m, bases: make([]arch.VAddr, n), rngs: make([]*rand.Rand, n)}
+			for t := 0; t < n; t++ {
+				if err := m.SwitchTenant(t); err != nil {
+					return nil, err
+				}
+				base, err := m.Malloc(tenantFootprintBytes)
+				if err != nil {
+					return nil, err
+				}
+				in.bases[t] = base
+				in.rngs[t] = rand.New(rand.NewSource(seed + int64(t)*7919))
+				for off := uint64(0); off < tenantFootprintBytes; off += 4096 {
+					m.Poke64(base+arch.VAddr(off), off)
+				}
+			}
+			return in, nil
+		},
 	}
-	if sys.PhysMemBytes < 256*arch.GB {
-		sys.PhysMemBytes = 256 * arch.GB
-	}
-	m, err := machine.New(sys, arch.Page4K, cfg.Seed)
-	if err != nil {
-		return VirtTenantRow{}, err
-	}
-	defer m.Release()
-	unit := fmt.Sprintf("multi-tenant n=%d seed=%d%s", n, cfg.Seed, cfg.UnitTag)
-	cfg.Events.UnitStarted()
-	for t := 1; t < n; t++ {
-		if _, err := m.AddTenant(); err != nil {
-			return VirtTenantRow{}, err
-		}
-	}
+}
 
-	// Setup (untimed): every tenant builds and pre-faults its array.
+// tenantInstance is a built consolidation unit: one array base and one
+// random source per tenant.
+type tenantInstance struct {
+	m     *machine.Machine
+	bases []arch.VAddr
+	rngs  []*rand.Rand
+}
+
+// Run round-robins the tenants in tenantSliceAccesses slices until the
+// budget is spent.
+func (in *tenantInstance) Run(budget uint64) {
+	n := len(in.bases)
 	words := uint64(tenantFootprintBytes / 8)
-	bases := make([]arch.VAddr, n)
-	rngs := make([]*rand.Rand, n)
-	for t := 0; t < n; t++ {
-		if err := m.SwitchTenant(t); err != nil {
-			return VirtTenantRow{}, err
-		}
-		base, err := m.Malloc(tenantFootprintBytes)
-		if err != nil {
-			return VirtTenantRow{}, err
-		}
-		bases[t] = base
-		rngs[t] = rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
-		for off := uint64(0); off < tenantFootprintBytes; off += 4096 {
-			m.Poke64(base+arch.VAddr(off), off)
-		}
-	}
-
-	// Measured region: round-robin slices until the budget is spent.
-	start := m.Counters()
-	startCycle := m.CycleCount()
-	var switches uint64
 	spent := uint64(0)
-	for t := 0; spent < cfg.Budget; t = (t + 1) % n {
-		if err := m.SwitchTenant(t); err != nil {
-			return VirtTenantRow{}, err
-		}
-		if n > 1 {
-			switches++
-		}
+	for t := 0; spent < budget; t = (t + 1) % n {
+		// Build switched to every tenant, so this switch cannot fail.
+		_ = in.m.SwitchTenant(t)
 		slice := uint64(tenantSliceAccesses)
-		if cfg.Budget-spent < slice {
-			slice = cfg.Budget - spent
+		if budget-spent < slice {
+			slice = budget - spent
 		}
-		rng := rngs[t]
+		rng := in.rngs[t]
 		for i := uint64(0); i < slice; i++ {
-			m.Load64(bases[t] + arch.VAddr(rng.Uint64()%words*8))
+			in.m.Load64(in.bases[t] + arch.VAddr(rng.Uint64()%words*8))
 		}
 		spent += slice
 	}
-	delta := perf.Delta(start, m.Counters())
-	mt := perf.Compute(delta)
-	ev := unitEvent(unit, delta, mt)
-	if cfg.Refute != nil {
-		// The consolidation kernel bypasses Run, so it feeds the refute
-		// checker and the live sink itself: same evidence shape,
-		// tenant-count unit name.
-		u := refute.Unit{
-			Name:         unit,
-			StartCycle:   startCycle,
-			EndCycle:     m.CycleCount(),
-			Virt:         true,
-			WrongPathCap: wrongPathCap(m),
-			Counters:     delta,
-			Metrics:      mt,
-		}
-		out := cfg.Refute.CheckUnit(u, m.TraceProcess())
-		ev.IdentitiesChecked, ev.IdentitiesViolated = uint64(out.Checked), uint64(len(out.Violations))
-	}
-	publishUnit(cfg, ev, delta)
-	cfg.logf("  run multi-tenant          n=%-8d %-4s footprint=%-9s wcpi=%.4f ntlb=%.3f",
-		n, arch.Page4K, arch.FormatBytes(uint64(n)*tenantFootprintBytes), mt.WCPI, mt.NTLBHitRate)
-	return VirtTenantRow{
+}
+
+// tenantRow is the table row of an n-tenant unit that spent budget
+// accesses: with more than one tenant, every slice starts with a guest
+// context switch.
+func tenantRow(n int, budget uint64, r *RunResult) VirtTenantRow {
+	row := VirtTenantRow{
 		Tenants:     n,
-		WCPI:        mt.WCPI,
-		NTLBHitRate: mt.NTLBHitRate,
-		EPTShare:    mt.EPTShare,
-		Switches:    switches,
-	}, nil
+		WCPI:        r.Metrics.WCPI,
+		NTLBHitRate: r.Metrics.NTLBHitRate,
+		EPTShare:    r.Metrics.EPTShare,
+	}
+	if n > 1 {
+		row.Switches = (budget + tenantSliceAccesses - 1) / tenantSliceAccesses
+	}
+	return row
 }
 
 // Tables renders the three studies.
