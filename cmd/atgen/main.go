@@ -28,7 +28,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		gen   = flag.String("gen", "urand", "generator: urand|kron|ycsb")
 		scale = flag.Uint64("scale", 14, "graph scale (2^scale vertices)")
@@ -40,11 +40,16 @@ func run() error {
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, createErr := os.Create(*out)
+		if createErr != nil {
+			return createErr
 		}
-		defer f.Close()
+		// A failed Close can lose written lines, so it fails the run.
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		w = f
 	}
 

@@ -6,10 +6,11 @@ import (
 	"io"
 )
 
-// WriteEdgeList regenerates the raw (pre-symmetrization) edge list of a
-// generator at the given scale and writes it as "u v" lines — the
-// standalone input-generator surface (cmd/atgen), mirroring how gapbs
-// inputs can be dumped to .el files.
+// WriteEdgeList regenerates a generator's graph at the given scale and
+// writes each undirected edge of its CSR once, as a "u v" line with u < v
+// — the standalone input-generator surface (cmd/atgen), mirroring how
+// gapbs inputs can be dumped to .el files. Self-loops and duplicate
+// edges are already gone, so the line count is half the CSR's entries.
 func WriteEdgeList(w io.Writer, gen string, scale uint64) (int, error) {
 	h := generate(gen, scale)
 	bw := bufio.NewWriter(w)

@@ -5,9 +5,8 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"atscale/internal/workloads"
@@ -23,48 +22,50 @@ const (
 	kronC = 0.19
 )
 
-// edge is one generated edge (host-side, transient).
-type edge struct{ u, v uint32 }
-
 // genURand generates 2^scale vertices with degree*2^scale uniform random
-// edges, the gapbs "-u" generator.
-func genURand(scale uint64, rng *workloads.RNG) []edge {
+// edges, the gapbs "-u" generator. The result is a flat list of endpoint
+// pairs: edge i is (pairs[2i], pairs[2i+1]).
+func genURand(scale uint64, rng *workloads.RNG) []uint32 {
 	n := uint64(1) << scale
-	m := degree * n
-	edges := make([]edge, 0, m)
-	for i := uint64(0); i < m; i++ {
-		edges = append(edges, edge{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
+	pairs := make([]uint32, 2*degree*n)
+	for i := range pairs {
+		pairs[i] = uint32(rng.Intn(n))
 	}
-	return edges
+	return pairs
 }
 
 // genKron generates an R-MAT/Kronecker graph (the gapbs "-g" generator):
 // each edge recursively descends the 2x2 initiator matrix, yielding a
-// skewed, scale-free degree distribution.
-func genKron(scale uint64, rng *workloads.RNG) []edge {
+// skewed, scale-free degree distribution. It returns endpoint pairs like
+// genURand.
+//
+// Per bit, one draw picks a quadrant against the initiator's cumulative
+// thresholds, compared as integers (see below): the u bit is set at or
+// above kronA+kronB, and the v bit in the B and D quadrants, which is
+// the parity of the three thresholds reached.
+func genKron(scale uint64, rng *workloads.RNG) []uint32 {
+	tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
+	// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.
+	lt := func(k, t uint64) uint32 { return uint32((k - t) >> 63) }
 	n := uint64(1) << scale
-	m := degree * n
-	edges := make([]edge, 0, m)
-	for i := uint64(0); i < m; i++ {
-		var u, v uint64
+	pairs := make([]uint32, 2*degree*n)
+	for i := 0; i < len(pairs); i += 2 {
+		var u, v uint32
 		for bit := uint64(0); bit < scale; bit++ {
-			p := rng.Float64()
-			switch {
-			case p < kronA:
-				// top-left: no bits set
-			case p < kronA+kronB:
-				v |= 1 << bit
-			case p < kronA+kronB+kronC:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			k := rng.Next() >> 11
+			a, ab, abc := lt(k, tA), lt(k, tAB), lt(k, tABC)
+			u |= (ab ^ 1) << bit
+			v |= (a ^ ab ^ abc ^ 1) << bit
 		}
-		edges = append(edges, edge{uint32(u), uint32(v)})
+		pairs[i], pairs[i+1] = u, v
 	}
-	return edges
+	return pairs
 }
+
+// below returns the integer threshold for an R-MAT quadrant boundary t:
+// RNG.Float64 is k/2^53 with k = Next()>>11, and k/2^53 < t exactly when
+// k < ceil(t*2^53). Scaling by a power of two is exact.
+func below(t float64) uint64 { return uint64(math.Ceil(t * (1 << 53))) }
 
 // hostCSR is the host-side CSR built during setup, before the graph is
 // poked into guest memory.
@@ -74,92 +75,104 @@ type hostCSR struct {
 	nbr []uint32 // off[n]
 }
 
-// buildHostCSR symmetrizes the edge list (gapbs treats these graphs as
-// undirected), drops self-loops, sorts each adjacency list, and removes
-// duplicate edges.
-func buildHostCSR(n uint64, edges []edge) hostCSR {
-	deg := make([]uint64, n+1)
-	for _, e := range edges {
-		if e.u == e.v {
-			continue
-		}
-		deg[e.u]++
-		deg[e.v]++
-	}
+// buildHostCSR symmetrizes the endpoint pairs (gapbs treats these graphs
+// as undirected), drops self-loops, sorts each adjacency list, and
+// removes duplicate edges. It consumes pairs: the result's neighbours
+// live in its buffer.
+//
+// No comparison sort is needed. The symmetrized multigraph is its own
+// transpose, so scattering the unsorted rows by ascending source lists
+// each vertex's neighbours in ascending order.
+func buildHostCSR(n uint64, pairs []uint32) hostCSR {
 	off := make([]uint64, n+1)
-	var sum uint64
-	for i := uint64(0); i < n; i++ {
-		off[i] = sum
-		sum += deg[i]
-	}
-	off[n] = sum
-	nbr := make([]uint32, sum)
-	pos := append([]uint64(nil), off...)
-	for _, e := range edges {
-		if e.u == e.v {
-			continue
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			off[u+1]++
+			off[v+1]++
 		}
-		nbr[pos[e.u]] = e.v
-		pos[e.u]++
-		nbr[pos[e.v]] = e.u
-		pos[e.v]++
 	}
-	// Sort and dedupe each adjacency list in place.
-	w := uint64(0)
-	newOff := make([]uint64, n+1)
+	for i := uint64(1); i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	rows := make([]uint32, off[n])
+	pos := make([]uint64, n)
+	copy(pos, off)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			rows[pos[u]] = v
+			pos[u]++
+			rows[pos[v]] = u
+			pos[v]++
+		}
+	}
+	// The pairs are dead: the sorted rows take their buffer.
+	nbr := pairs[:off[n]]
+	copy(pos, off)
 	for u := uint64(0); u < n; u++ {
-		newOff[u] = w
-		lo, hi := off[u], off[u+1]
-		list := nbr[lo:hi]
-		slices.Sort(list)
-		var last uint32
-		first := true
-		for _, v := range list {
-			if first || v != last {
-				nbr[w] = v
+		for _, v := range rows[off[u]:off[u+1]] {
+			nbr[pos[v]] = uint32(u)
+			pos[v]++
+		}
+	}
+	// Dedupe each sorted row in place, compacting off as it goes.
+	w, lo := uint64(0), uint64(0)
+	for u := uint64(0); u < n; u++ {
+		hi := off[u+1]
+		off[u] = w
+		for e := lo; e < hi; e++ {
+			if e == lo || nbr[e] != nbr[e-1] {
+				nbr[w] = nbr[e]
 				w++
-				first = false
-				last = v
 			}
 		}
+		lo = hi
 	}
-	newOff[n] = w
-	return hostCSR{n: n, off: newOff, nbr: nbr[:w]}
+	off[n] = w
+	return hostCSR{n: n, off: off, nbr: nbr[:w]}
 }
 
 // relabelByDegree returns a copy of g with vertices renumbered by
-// descending degree — the gapbs triangle-counting optimization the paper
-// credits for tc-kron's graceful scaling (§V-A).
+// descending degree, ties by ascending ID — the gapbs triangle-counting
+// optimization the paper credits for tc-kron's graceful scaling (§V-A).
+// The order is a counting sort on degree, and the rows are a scatter of
+// g in new-ID order, which leaves each one sorted as buildHostCSR does.
 func (g hostCSR) relabelByDegree() hostCSR {
-	order := make([]uint32, g.n)
-	for i := range order {
-		order[i] = uint32(i)
+	deg := func(u uint64) uint64 { return g.off[u+1] - g.off[u] }
+	var maxDeg uint64
+	for u := uint64(0); u < g.n; u++ {
+		maxDeg = max(maxDeg, deg(u))
 	}
-	degOf := func(u uint32) uint64 { return g.off[u+1] - g.off[u] }
-	// Descending degree, ties by ascending ID: a total order, so the
-	// unstable sort has one possible result.
-	slices.SortFunc(order, func(a, b uint32) int {
-		if c := cmp.Compare(degOf(b), degOf(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	// first[d] is the first new ID of a degree-d vertex.
+	first := make([]uint64, maxDeg+1)
+	for u := uint64(0); u < g.n; u++ {
+		first[deg(u)]++
+	}
+	var sum uint64
+	for d := maxDeg + 1; d > 0; d-- {
+		c := first[d-1]
+		first[d-1] = sum
+		sum += c
+	}
 	newID := make([]uint32, g.n)
-	for rank, old := range order {
-		newID[old] = uint32(rank)
+	order := make([]uint32, g.n)
+	for u := uint64(0); u < g.n; u++ {
+		id := first[deg(u)]
+		first[deg(u)]++
+		newID[u], order[id] = uint32(id), uint32(u)
 	}
 	out := hostCSR{n: g.n, off: make([]uint64, g.n+1), nbr: make([]uint32, len(g.nbr))}
-	var w uint64
-	for rank := uint64(0); rank < g.n; rank++ {
-		out.off[rank] = w
-		old := order[rank]
-		for e := g.off[old]; e < g.off[old+1]; e++ {
-			out.nbr[w] = newID[g.nbr[e]]
-			w++
-		}
-		slices.Sort(out.nbr[out.off[rank]:w])
+	for id, old := range order {
+		out.off[id+1] = out.off[id] + deg(uint64(old))
 	}
-	out.off[g.n] = w
+	for id, old := range order {
+		for _, v := range g.nbr[g.off[old]:g.off[old+1]] {
+			out.nbr[out.off[newID[v]]] = uint32(id)
+			out.off[newID[v]]++
+		}
+	}
+	// Each row's cursor stopped at the next row's start.
+	copy(out.off[1:], out.off[:g.n])
+	out.off[0] = 0
 	return out
 }
 
@@ -215,14 +228,14 @@ func generateRelabeled(gen string, scale uint64) hostCSR {
 
 func generateUncached(gen string, scale uint64) hostCSR {
 	rng := workloads.NewRNG(scale*1315423911 + uint64(len(gen)))
-	var edges []edge
+	var pairs []uint32
 	switch gen {
 	case "urand":
-		edges = genURand(scale, rng)
+		pairs = genURand(scale, rng)
 	case "kron":
-		edges = genKron(scale, rng)
+		pairs = genKron(scale, rng)
 	default:
 		panic("graph: unknown generator " + gen)
 	}
-	return buildHostCSR(uint64(1)<<scale, edges)
+	return buildHostCSR(uint64(1)<<scale, pairs)
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"atscale/internal/arch"
@@ -238,5 +241,42 @@ func TestBFSVisitsComponent(t *testing.T) {
 	}
 	if unreached > int(g.N)/100 {
 		t.Errorf("%d/%d vertices unreached", unreached, g.N)
+	}
+}
+
+// TestWriteEdgeListOncePerEdge requires one "u v" line per undirected
+// CSR edge, with u < v.
+func TestWriteEdgeListOncePerEdge(t *testing.T) {
+	for _, gen := range []string{"urand", "kron"} {
+		var buf bytes.Buffer
+		n, err := WriteEdgeList(&buf, gen, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		want := len(generate(gen, 8).nbr) / 2
+		if n != want || len(lines) != want {
+			t.Fatalf("%s: %d lines, reported %d, want %d", gen, len(lines), n, want)
+		}
+		for _, l := range lines {
+			var u, v uint64
+			if _, err := fmt.Sscanf(l, "%d %d", &u, &v); err != nil || u >= v {
+				t.Fatalf("%s: line %q is not an edge with u < v", gen, l)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerate times building a graph input from scratch: edge
+// generation, the CSR build and the degree relabel tc runs on.
+func BenchmarkGenerate(b *testing.B) {
+	for _, gen := range []string{"kron", "urand"} {
+		b.Run(fmt.Sprintf("%s-16", gen), func(b *testing.B) {
+			for b.Loop() {
+				generateUncached(gen, 16).relabelByDegree()
+			}
+			edges := float64(degree<<16) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+		})
 	}
 }
