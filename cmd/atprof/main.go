@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -191,30 +192,30 @@ func writeJSON(w *os.File, r core.RunResult, report perf.Report) error {
 
 // exportTimeline writes the tracer's timeline to path.
 func exportTimeline(tr *telemetry.Tracer, path string) error {
+	return writeFile(path, tr.Export)
+}
+
+func writeCSVs(prefix string, r core.RunResult) error {
+	if err := writeFile(prefix+".timeline.csv", func(w io.Writer) error {
+		return perf.WriteIntervalsCSV(w, r.Timeline)
+	}); err != nil {
+		return err
+	}
+	return writeFile(prefix+".samples.csv", func(w io.Writer) error {
+		return perf.WriteSamplesCSV(w, r.Samples)
+	})
+}
+
+// writeFile creates path and fills it with write. A failed Close can
+// lose written data, so its error is returned too.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.Export(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-func writeCSVs(prefix string, r core.RunResult) error {
-	tf, err := os.Create(prefix + ".timeline.csv")
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	if err := perf.WriteIntervalsCSV(tf, r.Timeline); err != nil {
-		return err
-	}
-	sf, err := os.Create(prefix + ".samples.csv")
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	return perf.WriteSamplesCSV(sf, r.Samples)
 }

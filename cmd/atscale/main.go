@@ -49,7 +49,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		size       = flag.String("size", "medium", "ladder preset: tiny|small|medium|large")
 		budget     = flag.Uint64("budget", 2_000_000, "retired accesses per measured region")
@@ -124,15 +124,21 @@ func run() error {
 		return err
 	}
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
+		f, createErr := os.Create(*cpuprofile)
+		if createErr != nil {
+			return createErr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+		if startErr := pprof.StartCPUProfile(f); startErr != nil {
+			f.Close()
+			return startErr
 		}
-		defer pprof.StopCPUProfile()
+		// A failed Close can lose the profile, so it fails the run.
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
 	cfg := core.DefaultRunConfig()
@@ -291,11 +297,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
 			return err
 		}
+		return f.Close()
 	}
 	return nil
 }

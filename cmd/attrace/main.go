@@ -48,7 +48,7 @@ func main() {
 	}
 }
 
-func record(args []string) error {
+func record(args []string) (err error) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	name := fs.String("w", "gups-rand", "workload to record")
 	param := fs.Uint64("param", 0, "input size parameter (default: smallest rung)")
@@ -72,7 +72,12 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	// A failed Close can lose recorded events, so it fails the run.
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	w := trace.NewWriter(f)
 	m.SetTracer(w)
 	inst, err := spec.Build(m, *param)

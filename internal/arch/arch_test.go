@@ -176,6 +176,26 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("expected error for zero BaseCPI")
 	}
+
+	// Translation arrays count a set's live ways in 16 bits.
+	cfg = DefaultSystem()
+	cfg.Virt = DefaultVirt()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("default nested config invalid: %v", err)
+	}
+	for name, mutate := range map[string]func(*SystemConfig){
+		"fully associative STLB past 65535 ways": func(c *SystemConfig) { c.STLB = TLBGeometry{Entries: 1 << 16, Ways: 1 << 16} },
+		"negative PDE cache":                     func(c *SystemConfig) { c.PSC.PDEntries = -1 },
+		"PDE cache past 65535 entries":           func(c *SystemConfig) { c.PSC.PDEntries = 1 << 16 },
+		"EPT PDE cache past 65535 entries":       func(c *SystemConfig) { c.Virt = DefaultVirt(); c.Virt.EPTPSC.PDEntries = 1 << 16 },
+		"nTLB past 65535 entries":                func(c *SystemConfig) { c.Virt = DefaultVirt(); c.Virt.NTLBEntries = 1 << 16 },
+	} {
+		cfg = DefaultSystem()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("expected error for %s", name)
+		}
+	}
 }
 
 func TestFormatBytes(t *testing.T) {

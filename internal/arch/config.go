@@ -1,5 +1,7 @@
 package arch
 
+import "atscale/internal/assoc"
+
 // TLBGeometry describes one TLB array.
 type TLBGeometry struct {
 	Entries int // total entries; 0 disables the array
@@ -322,6 +324,9 @@ func (c *SystemConfig) Validate() error {
 	if err := c.STLB.validate("STLB"); err != nil {
 		return err
 	}
+	if err := c.PSC.validate("PSC"); err != nil {
+		return err
+	}
 	for _, cg := range []struct {
 		name string
 		g    CacheGeometry
@@ -392,8 +397,11 @@ func (c *SystemConfig) Validate() error {
 		if c.Virt.EPTPages >= NumPageSizes {
 			return errf("Virt.EPTPages: invalid page size %d", c.Virt.EPTPages)
 		}
-		if c.Virt.NTLBEntries <= 0 {
-			return errf("Virt.NTLBEntries must be positive when virtualized")
+		if c.Virt.NTLBEntries <= 0 || c.Virt.NTLBEntries > assoc.MaxWays {
+			return errf("Virt.NTLBEntries must be in [1, %d] when virtualized, got %d", assoc.MaxWays, c.Virt.NTLBEntries)
+		}
+		if err := c.Virt.EPTPSC.validate("Virt.EPTPSC"); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -405,6 +413,23 @@ func (g TLBGeometry) validate(name string) error {
 	}
 	if g.Ways <= 0 || g.Entries%g.Ways != 0 {
 		return errf("%s: entries %d not divisible by ways %d", name, g.Entries, g.Ways)
+	}
+	if g.Ways > assoc.MaxWays {
+		return errf("%s: %d ways exceed %d", name, g.Ways, assoc.MaxWays)
+	}
+	return nil
+}
+
+// validate checks that every level's cache is one set of 0 to
+// assoc.MaxWays entries.
+func (g PSCGeometry) validate(name string) error {
+	for _, l := range []struct {
+		name    string
+		entries int
+	}{{"PML5Entries", g.PML5Entries}, {"PML4Entries", g.PML4Entries}, {"PDPTEntries", g.PDPTEntries}, {"PDEntries", g.PDEntries}} {
+		if l.entries < 0 || l.entries > assoc.MaxWays {
+			return errf("%s.%s must be in [0, %d], got %d", name, l.name, assoc.MaxWays, l.entries)
+		}
 	}
 	return nil
 }

@@ -1,9 +1,8 @@
 package mmucache
 
 import (
-	"slices"
-
 	"atscale/internal/arch"
+	"atscale/internal/assoc"
 )
 
 // NTLB is the EPT translation cache ("nested TLB"): a small
@@ -16,25 +15,18 @@ import (
 // valid across guest context switches under a shared EPT, which is where
 // the multi-tenant EPT-sharing benefit comes from.
 //
-// Its live entries are a slice in recency order, most recent first; the
-// slice's capacity is the cache size, so the victim of a full cache is
-// its last entry. A lookup returns the first entry covering the
-// guest-physical address: the nested walker fills every entry at the
-// hypervisor's single EPT leaf size, so no two entries overlap.
+// The hypervisor maps every EPT leaf at one page size, so the cache is
+// one set keyed by the guest-physical page base at that size: no two
+// entries overlap, and a lookup is one exact key match.
 type NTLB struct {
-	entries []NTLBEntry
+	arr  assoc.Array[arch.PAddr, arch.PAddr]
+	size arch.PageSize // the EPT leaf size
 }
 
-// NTLBEntry is one cached EPT translation.
-type NTLBEntry struct {
-	GBase arch.PAddr // guest-physical page base
-	HBase arch.PAddr // host frame backing it
-	Size  arch.PageSize
-}
-
-// NewNTLB builds an EPT translation cache with n entries (0 disables it).
-func NewNTLB(n int) *NTLB {
-	return &NTLB{entries: make([]NTLBEntry, 0, n)}
+// NewNTLB builds an EPT translation cache with n entries (0 disables it)
+// for an EPT whose leaves are all of the given size.
+func NewNTLB(n int, size arch.PageSize) NTLB {
+	return NTLB{arr: assoc.New[arch.PAddr, arch.PAddr](1, n), size: size}
 }
 
 // Lookup finds the cached EPT translation covering gpa, returning the
@@ -42,40 +34,26 @@ func NewNTLB(n int) *NTLB {
 //
 //atlint:hotpath
 func (t *NTLB) Lookup(gpa arch.PAddr) (arch.PAddr, arch.PageSize, bool) {
-	for i, e := range t.entries {
-		if e.GBase == arch.PAddr(arch.PageBase(arch.VAddr(gpa), e.Size)) {
-			toFront(t.entries, i, e)
-			return e.HBase, e.Size, true
-		}
-	}
-	return 0, 0, false
+	hbase, ok := t.arr.Lookup(0, arch.PAddr(arch.PageBase(arch.VAddr(gpa), t.size)))
+	return hbase, t.size, ok
 }
 
 // Insert caches one completed EPT walk: the guest-physical page at gbase
-// is backed by the host frame at hbase with the given mapping size.
+// is backed by the host frame at hbase.
 //
 //atlint:hotpath
-func (t *NTLB) Insert(gbase, hbase arch.PAddr, size arch.PageSize) {
-	w := len(t.entries)
-	for i, e := range t.entries {
-		if e.GBase == gbase && e.Size == size {
-			w = i
-			break
-		}
-	}
-	t.entries = toFront(t.entries, w, NTLBEntry{GBase: gbase, HBase: hbase, Size: size})
-}
+func (t *NTLB) Insert(gbase, hbase arch.PAddr) { t.arr.Insert(0, gbase, hbase) }
 
 // Flush empties the cache (full EPT invalidation; not needed on guest
 // context switches under a shared EPT).
-func (t *NTLB) Flush() { t.entries = t.entries[:0] }
+func (t *NTLB) Flush() { t.arr.Flush() }
 
 // Reset returns the cache to its just-constructed state: empty.
 func (t *NTLB) Reset() { t.Flush() }
 
 // Live returns the number of valid entries (test/debug helper).
-func (t *NTLB) Live() int { return len(t.entries) }
+func (t *NTLB) Live() int { return t.arr.Live() }
 
-// Entries returns a copy of the live entries, most recent first
+// Keys returns the cached guest-physical page bases, most recent first
 // (test/debug helper).
-func (t *NTLB) Entries() []NTLBEntry { return slices.Clone(t.entries) }
+func (t *NTLB) Keys() []arch.PAddr { return t.arr.Keys(0) }

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"atscale/internal/arch"
+	"atscale/internal/assoc"
 	"atscale/internal/cache"
 	"atscale/internal/mmucache"
 	"atscale/internal/perf"
@@ -58,7 +59,7 @@ func (dramCacheScheme) Build(d Deps) (Instance, error) {
 	}
 	return &dramCache{
 		Walker:  walker.New(d.Phys, mmucache.NewWithDepth(d.Cfg.PSC, d.Cfg.PagingLevels), d.Caches),
-		dir:     newAssocDir(int(bytes>>arch.PageShift4K), dcWays),
+		dir:     assoc.New[uint64, arch.PAddr](int(bytes>>arch.PageShift4K+dcWays-1)/dcWays, dcWays),
 		hitLat:  hitLat,
 		missPen: missPen,
 		dram:    d.Cfg.DRAMLatency,
@@ -97,7 +98,9 @@ func (dramCacheScheme) Identities() []refute.Identity {
 // walker plus the stacked die's tag array.
 type dramCache struct {
 	*walker.Walker
-	dir *assocDir // PA 4 KB-block tag array (payload unused)
+	// dir is the PA 4 KB-block tag array (payload unused); its set
+	// count is the die's blocks rounded up to whole sets.
+	dir assoc.Array[uint64, arch.PAddr]
 
 	hitLat  uint64 // stacked-die access latency
 	missPen uint64 // tag-check penalty added to an off-package access
@@ -120,12 +123,13 @@ func (c *dramCache) AdjustLoad(pa arch.PAddr, loc cache.HitLoc) int64 {
 		return 0
 	}
 	block := uint64(pa) >> arch.PageShift4K
-	if _, ok := c.dir.lookup(block); ok {
+	set := c.dir.SetOf(block)
+	if _, ok := c.dir.Lookup(set, block); ok {
 		c.dcHits++
 		return int64(c.hitLat) - int64(c.dram)
 	}
 	c.dcMisses++
-	c.dir.insert(block, 0)
+	c.dir.Insert(set, block, 0)
 	return int64(c.missPen)
 }
 
@@ -153,9 +157,9 @@ func (c *dramCache) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Re
 // Reset implements walker.Engine.
 func (c *dramCache) Reset() {
 	c.Walker.Reset()
-	c.dir.flush()
+	c.dir.Flush()
 }
 
 // TagsLive returns the number of valid stacked-die tag entries
 // (test/debug helper).
-func (c *dramCache) TagsLive() int { return c.dir.live() }
+func (c *dramCache) TagsLive() int { return c.dir.Live() }

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"atscale/internal/arch"
+	"atscale/internal/assoc"
 	"atscale/internal/mmucache"
 	"atscale/internal/perf"
 	"atscale/internal/refute"
@@ -47,7 +48,7 @@ func (victimaScheme) Build(d Deps) (Instance, error) {
 	}
 	return &victima{
 		Walker: walker.New(d.Phys, mmucache.NewWithDepth(d.Cfg.PSC, d.Cfg.PagingLevels), d.Caches),
-		dir:    newAssocDir(entries, victimaWays),
+		dir:    assoc.New[uint64, arch.PAddr]((entries+victimaWays-1)/victimaWays, victimaWays),
 	}, nil
 }
 
@@ -73,10 +74,11 @@ func (victimaScheme) Identities() []refute.Identity {
 }
 
 // victima is one machine's Victima walk state: the radix walker plus the
-// PTE-block directory.
+// PTE-block directory, keyed by VA 2 MB block, whose set count is the
+// requested entries rounded up to whole sets.
 type victima struct {
 	*walker.Walker
-	dir *assocDir
+	dir assoc.Array[uint64, arch.PAddr]
 }
 
 // Walk implements walker.Engine: probe the PTE-block directory first; a
@@ -91,7 +93,8 @@ func (v *victima) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Resu
 	v.BeginSpan()
 	r.BlockProbed = true
 	block := uint64(va) >> arch.PageShift2M
-	if base, ok := v.dir.lookup(block); ok {
+	set := v.dir.SetOf(block)
+	if base, ok := v.dir.Lookup(set, block); ok {
 		// The cached block located the PT page: the walk is its one leaf
 		// load. The entry may still be non-present (a not-yet-faulted
 		// page sharing the block) — a page fault, whose retry hits the
@@ -106,7 +109,7 @@ func (v *victima) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Resu
 		// A pressured miss (a block hit is one load): the walk's last
 		// entry address sits inside the leaf PT page, and its 4 KB base
 		// is the block payload.
-		v.dir.insert(block, arch.PAddr(arch.AlignDown(uint64(p.LastEntry()), arch.Page4K.Bytes())))
+		v.dir.Insert(set, block, arch.PAddr(arch.AlignDown(uint64(p.LastEntry()), arch.Page4K.Bytes())))
 	}
 	v.EndSpan(&r)
 	return r
@@ -116,7 +119,7 @@ func (v *victima) Walk(va arch.VAddr, cr3 arch.PAddr, budget uint64) walker.Resu
 // block, so a context switch drops it along with the PSCs.
 func (v *victima) Flush() {
 	v.Walker.Flush()
-	v.dir.flush()
+	v.dir.Flush()
 }
 
 // InvalidateBlock implements walker.Engine: promotion replaces the PT
@@ -124,15 +127,16 @@ func (v *victima) Flush() {
 // entry) must go.
 func (v *victima) InvalidateBlock(va arch.VAddr) {
 	v.Walker.InvalidateBlock(va)
-	v.dir.invalidate(uint64(va) >> arch.PageShift2M)
+	block := uint64(va) >> arch.PageShift2M
+	v.dir.Invalidate(v.dir.SetOf(block), block)
 }
 
 // Reset implements walker.Engine.
 func (v *victima) Reset() {
 	v.Walker.Reset()
-	v.dir.flush()
+	v.dir.Flush()
 }
 
 // BlockDirLive returns the number of valid PTE-block directory entries
 // (test/debug helper).
-func (v *victima) BlockDirLive() int { return v.dir.live() }
+func (v *victima) BlockDirLive() int { return v.dir.Live() }

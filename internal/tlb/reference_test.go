@@ -23,9 +23,14 @@ type refTLB struct {
 }
 
 type refWay struct {
-	way
+	vpn   uint64
+	frame arch.PAddr
+	size  arch.PageSize
 	stamp uint64
 }
+
+// refInvalid marks an empty reference way.
+const refInvalid = math.MaxUint64
 
 func newRefTLB(g arch.TLBGeometry, sizes ...arch.PageSize) *refTLB {
 	t := &refTLB{}
@@ -81,7 +86,7 @@ func (t *refTLB) insert(va arch.VAddr, frame arch.PAddr, ps arch.PageSize) {
 			e.frame, e.stamp = frame, t.clock
 			return
 		}
-		if e.vpn == invalidVPN {
+		if e.vpn == refInvalid {
 			if oldest != 0 {
 				victim, oldest = w, 0
 			}
@@ -91,7 +96,7 @@ func (t *refTLB) insert(va arch.VAddr, frame arch.PAddr, ps arch.PageSize) {
 			victim, oldest = w, e.stamp
 		}
 	}
-	set[victim] = refWay{way{vpn: vpn, frame: frame, size: ps}, t.clock}
+	set[victim] = refWay{vpn: vpn, frame: frame, size: ps, stamp: t.clock}
 }
 
 func (t *refTLB) invalidatePage(va arch.VAddr, ps arch.PageSize) {
@@ -102,15 +107,25 @@ func (t *refTLB) invalidatePage(va arch.VAddr, ps arch.PageSize) {
 	set := t.set(vpn)
 	for w := range set {
 		if e := &set[w]; e.vpn == vpn && e.size == ps {
-			e.vpn, e.stamp = invalidVPN, 0
+			e.vpn, e.stamp = refInvalid, 0
 		}
 	}
 }
 
 func (t *refTLB) flush() {
 	for i := range t.data {
-		t.data[i] = refWay{way: invalidWay}
+		t.data[i] = refWay{vpn: refInvalid}
 	}
+}
+
+func (t *refTLB) live() int {
+	n := 0
+	for _, e := range t.data {
+		if e.vpn != refInvalid {
+			n++
+		}
+	}
+	return n
 }
 
 func (t *refTLB) reset() {
@@ -118,35 +133,34 @@ func (t *refTLB) reset() {
 	t.clock = 0
 }
 
-// recencyOrder returns the reference set's valid ways, newest stamp
-// first, then invalid ways.
-func (t *refTLB) recencyOrder(set []refWay) []way {
+// recencyOrder returns the keys of set s's valid ways, newest stamp
+// first.
+func (t *refTLB) recencyOrder(s int) []key {
 	var live []refWay
-	for _, e := range set {
-		if e.vpn != invalidVPN {
+	for _, e := range t.data[s*t.ways : (s+1)*t.ways] {
+		if e.vpn != refInvalid {
 			live = append(live, e)
 		}
 	}
 	slices.SortFunc(live, func(a, b refWay) int { return cmp.Compare(b.stamp, a.stamp) })
-	ways := make([]way, len(set))
-	for i := range ways {
-		ways[i] = invalidWay
-	}
+	keys := make([]key, len(live))
 	for i, e := range live {
-		ways[i] = e.way
+		keys[i] = key{e.vpn, e.size}
 	}
-	return ways
+	return keys
 }
 
 // sameState reports where t and the reference disagree, or "" when every
-// set holds the reference's translations in recency order.
+// set holds the reference's translations in recency order. Frames are
+// compared by the lookups.
 func (t *TLB) sameState(ref *refTLB) string {
-	for base := 0; base < len(t.data); base += t.ways {
-		got := t.data[base : base+t.ways]
-		want := ref.recencyOrder(ref.data[base : base+t.ways])
-		if !slices.Equal(got, want) {
-			return fmt.Sprintf("set at way %d holds %+v, reference %+v", base, got, want)
+	for s := 0; s < ref.sets; s++ {
+		if got, want := t.arr.Keys(s), ref.recencyOrder(s); !slices.Equal(got, want) {
+			return fmt.Sprintf("set %d holds %+v, reference %+v", s, got, want)
 		}
+	}
+	if got, want := t.Live(), ref.live(); got != want {
+		return fmt.Sprintf("%d live entries, reference %d", got, want)
 	}
 	return ""
 }

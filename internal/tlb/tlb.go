@@ -1,16 +1,14 @@
 // Package tlb models translation lookaside buffers: set-associative arrays
 // mapping virtual page numbers to physical frames, with true LRU within
-// each set. A set is kept in recency order, most recent first, with its
-// invalid ways at the tail, so the victim is always the last way. The
-// Hierarchy type assembles the Haswell arrangement the paper measures:
-// split first-level TLBs per page size backed by a unified second-level
-// STLB shared by 4 KB and 2 MB translations.
+// each set (an assoc.Array). The Hierarchy type assembles the Haswell
+// arrangement the paper measures: split first-level TLBs per page size
+// backed by a unified second-level STLB shared by 4 KB and 2 MB
+// translations.
 package tlb
 
 import (
-	"math"
-
 	"atscale/internal/arch"
+	"atscale/internal/assoc"
 )
 
 // Entry is one cached translation.
@@ -23,56 +21,30 @@ type Entry struct {
 	Size arch.PageSize
 }
 
-const invalidVPN = math.MaxUint64
-
-type way struct {
-	vpn   uint64
-	frame arch.PAddr
-	size  arch.PageSize
+// key tags a cached translation: a VPN at its own page size.
+type key struct {
+	vpn  uint64
+	size arch.PageSize
 }
-
-// invalidWay is the value of an empty way.
-var invalidWay = way{vpn: invalidVPN}
 
 // TLB is one set-associative translation cache. A TLB may hold a single
 // page size (split L1 arrays) or several (unified STLB); the set index and
 // tag are derived from the VPN at each entry's own page size, and lookups
 // probe once per size the TLB holds.
 type TLB struct {
-	sets  int
-	ways  int
 	holds [arch.NumPageSizes]bool
-	data  []way
-
-	// mask is sets-1 when the set count is a power of two (every Table
-	// III TLB geometry), turning the per-lookup set index into an AND;
-	// the modulo path remains for arbitrary geometries.
-	mask uint64
-	pow2 bool
-}
-
-// setBase returns the first way index of a VPN's set.
-func (t *TLB) setBase(vpn uint64) uint64 {
-	if t.pow2 {
-		return (vpn & t.mask) * uint64(t.ways)
-	}
-	return (vpn % uint64(t.sets)) * uint64(t.ways)
+	arr   assoc.Array[key, arch.PAddr]
 }
 
 // New builds a TLB from its geometry, holding the given page sizes.
-// A geometry with zero entries yields a disabled TLB that never hits.
-func New(g arch.TLBGeometry, sizes ...arch.PageSize) *TLB {
-	t := &TLB{}
-	if g.Entries == 0 {
+// A geometry with no sets yields a disabled TLB that holds no size and
+// never hits.
+func New(g arch.TLBGeometry, sizes ...arch.PageSize) TLB {
+	var t TLB
+	if g.Entries == 0 || g.Entries < g.Ways {
 		return t
 	}
-	t.sets = g.Entries / g.Ways
-	t.ways = g.Ways
-	if t.sets > 0 && t.sets&(t.sets-1) == 0 {
-		t.pow2, t.mask = true, uint64(t.sets-1)
-	}
-	t.data = make([]way, g.Entries)
-	t.Flush()
+	t.arr = assoc.New[key, arch.PAddr](g.Entries/g.Ways, g.Ways)
 	for _, s := range sizes {
 		t.holds[s] = true
 	}
@@ -87,27 +59,13 @@ func (t *TLB) Holds(ps arch.PageSize) bool { return t.holds[ps] }
 //
 //atlint:hotpath
 func (t *TLB) Lookup(va arch.VAddr) (Entry, bool) {
-	if t.sets == 0 {
-		return Entry{}, false
-	}
 	for ps := arch.Page4K; ps < arch.NumPageSizes; ps++ {
 		if !t.holds[ps] {
 			continue
 		}
 		vpn := arch.PageNumber(va, ps)
-		base := t.setBase(vpn)
-		// Slice the set once so the way scan runs without bounds checks
-		// (this probe sits on every simulated memory access).
-		set := t.data[base : base+uint64(t.ways)]
-		for w := range set {
-			if set[w].vpn == vpn && set[w].size == ps {
-				frame := set[w].frame
-				if w > 0 {
-					copy(set[1:w+1], set[:w])
-					set[0] = way{vpn: vpn, frame: frame, size: ps}
-				}
-				return Entry{VPN: vpn, Frame: frame, Size: ps}, true
-			}
+		if frame, ok := t.arr.Lookup(t.arr.SetOf(vpn), key{vpn, ps}); ok {
+			return Entry{VPN: vpn, Frame: frame, Size: ps}, true
 		}
 	}
 	return Entry{}, false
@@ -120,61 +78,31 @@ func (t *TLB) Lookup(va arch.VAddr) (Entry, bool) {
 //
 //atlint:hotpath
 func (t *TLB) Insert(va arch.VAddr, frame arch.PAddr, ps arch.PageSize) {
-	if t.sets == 0 || !t.holds[ps] {
+	if !t.holds[ps] {
 		return
 	}
 	vpn := arch.PageNumber(va, ps)
-	base := t.setBase(vpn)
-	set := t.data[base : base+uint64(t.ways)]
-	w := len(set) - 1
-	for i := range set {
-		if set[i].vpn == vpn && set[i].size == ps {
-			w = i
-			break
-		}
-	}
-	copy(set[1:w+1], set[:w])
-	set[0] = way{vpn: vpn, frame: frame, size: ps}
+	t.arr.Insert(t.arr.SetOf(vpn), key{vpn, ps}, frame)
 }
 
 // InvalidatePage drops the translation of va at the given size if
-// present, closing the gap so the set's invalid ways stay at the tail.
+// present.
 func (t *TLB) InvalidatePage(va arch.VAddr, ps arch.PageSize) {
-	if t.sets == 0 || !t.holds[ps] {
+	if !t.holds[ps] {
 		return
 	}
 	vpn := arch.PageNumber(va, ps)
-	base := t.setBase(vpn)
-	set := t.data[base : base+uint64(t.ways)]
-	for w, e := range set {
-		if e.vpn == vpn && e.size == ps {
-			copy(set[w:], set[w+1:])
-			set[len(set)-1] = invalidWay
-			return
-		}
-	}
+	t.arr.Invalidate(t.arr.SetOf(vpn), key{vpn, ps})
 }
 
 // Reset returns the TLB to its just-constructed state: empty.
 func (t *TLB) Reset() { t.Flush() }
 
 // Flush empties the TLB.
-func (t *TLB) Flush() {
-	for i := range t.data {
-		t.data[i] = invalidWay
-	}
-}
+func (t *TLB) Flush() { t.arr.Flush() }
 
 // Live returns the number of valid entries (test/debug helper).
-func (t *TLB) Live() int {
-	n := 0
-	for i := range t.data {
-		if t.data[i].vpn != invalidVPN {
-			n++
-		}
-	}
-	return n
-}
+func (t *TLB) Live() int { return t.arr.Live() }
 
 // Level says where a hierarchy lookup was satisfied.
 type Level uint8
@@ -211,8 +139,8 @@ type Result struct {
 
 // Hierarchy is the two-level TLB arrangement of the simulated machine.
 type Hierarchy struct {
-	l1   [arch.NumPageSizes]*TLB
-	stlb *TLB
+	l1   [arch.NumPageSizes]TLB
+	stlb TLB
 }
 
 // NewHierarchy builds the TLB hierarchy described by cfg.
@@ -234,9 +162,17 @@ func NewHierarchy(cfg *arch.SystemConfig) *Hierarchy {
 //
 //atlint:hotpath
 func (h *Hierarchy) Lookup(va arch.VAddr) Result {
+	// Each L1 array holds its own size only, so the hierarchy makes that
+	// one probe itself: an L1 hit then costs one call, into the array,
+	// rather than two through TLB.Lookup (neither call can be inlined).
 	for ps := arch.Page4K; ps < arch.NumPageSizes; ps++ {
-		if e, ok := h.l1[ps].Lookup(va); ok {
-			return Result{Level: HitL1, Entry: e}
+		t := &h.l1[ps]
+		if !t.holds[ps] {
+			continue
+		}
+		vpn := arch.PageNumber(va, ps)
+		if frame, ok := t.arr.Lookup(t.arr.SetOf(vpn), key{vpn, ps}); ok {
+			return Result{Level: HitL1, Entry: Entry{VPN: vpn, Frame: frame, Size: ps}}
 		}
 	}
 	if e, ok := h.stlb.Lookup(va); ok {
@@ -268,22 +204,22 @@ func (h *Hierarchy) InvalidatePage(va arch.VAddr, ps arch.PageSize) {
 
 // Reset returns every array to its just-constructed state.
 func (h *Hierarchy) Reset() {
-	for _, t := range h.l1 {
-		t.Reset()
+	for ps := range h.l1 {
+		h.l1[ps].Reset()
 	}
 	h.stlb.Reset()
 }
 
 // Flush empties every array.
 func (h *Hierarchy) Flush() {
-	for _, t := range h.l1 {
-		t.Flush()
+	for ps := range h.l1 {
+		h.l1[ps].Flush()
 	}
 	h.stlb.Flush()
 }
 
 // L1 exposes the first-level array for a size (test/debug helper).
-func (h *Hierarchy) L1(ps arch.PageSize) *TLB { return h.l1[ps] }
+func (h *Hierarchy) L1(ps arch.PageSize) *TLB { return &h.l1[ps] }
 
 // STLB exposes the second-level array (test/debug helper).
-func (h *Hierarchy) STLB() *TLB { return h.stlb }
+func (h *Hierarchy) STLB() *TLB { return &h.stlb }

@@ -34,7 +34,7 @@ type Nested struct {
 	// sub-tracks, cross-synced so the dimensions interleave in walk
 	// order, and guest's clock is the shared simulated-cycle clock.
 	guest, ept Walker
-	ntlb       *mmucache.NTLB
+	ntlb       mmucache.NTLB
 	eptRoot    arch.PAddr
 	eptLeaf    arch.Level // leaf level of the EPT mapping policy
 }
@@ -58,7 +58,7 @@ func NewNested(phys *mem.Phys, eptRoot arch.PAddr, guestPSC arch.PSCGeometry, vc
 	return &Nested{
 		guest:   Walker{phys: phys, psc: mmucache.New(guestPSC), caches: caches},
 		ept:     Walker{phys: phys, psc: mmucache.New(vc.EPTPSC), caches: caches},
-		ntlb:    mmucache.NewNTLB(vc.NTLBEntries),
+		ntlb:    mmucache.NewNTLB(vc.NTLBEntries, vc.EPTPages),
 		eptRoot: eptRoot,
 		eptLeaf: vc.EPTPages.LeafLevel(),
 	}
@@ -189,7 +189,7 @@ func (w *Nested) translate(gpa arch.PAddr, r *Result, budget uint64) (arch.PAddr
 		w.ept.trk.EndArg(traceOutcome, outcomeNoWalk)
 		return 0, 0, eptViolation
 	}
-	w.ntlb.Insert(arch.PAddr(arch.PageBase(gva, e.Size)), e.Frame, e.Size)
+	w.ntlb.Insert(arch.PAddr(arch.PageBase(gva, e.Size)), e.Frame)
 	r.EPTWalks++
 	w.ept.trk.EndArg(traceOutcome, outcomeOK)
 	return e.Frame + arch.PAddr(uint64(gpa)&e.Size.Mask()), e.Size, eptOK

@@ -249,7 +249,7 @@ type refNested struct {
 	eptRoot    arch.PAddr
 	eptLeaf    arch.Level
 	guest, ept *mmucache.PSC
-	ntlb       *mmucache.NTLB
+	ntlb       mmucache.NTLB
 	caches     *cache.Hierarchy
 }
 
@@ -260,7 +260,7 @@ func newRefNested(phys *mem.Phys, eptRoot arch.PAddr, guestPSC arch.PSCGeometry,
 		eptLeaf: vc.EPTPages.LeafLevel(),
 		guest:   mmucache.New(guestPSC),
 		ept:     mmucache.New(vc.EPTPSC),
-		ntlb:    mmucache.NewNTLB(vc.NTLBEntries),
+		ntlb:    mmucache.NewNTLB(vc.NTLBEntries, vc.EPTPages),
 		caches:  caches,
 	}
 }
@@ -293,7 +293,7 @@ func (w *refNested) eptTranslate(gpa arch.PAddr, r *Result, budget uint64) (arch
 		}
 		if e.IsLeaf(level) {
 			size := sizeAtLevel(level)
-			w.ntlb.Insert(arch.PAddr(arch.PageBase(gva, size)), e.Frame(), size)
+			w.ntlb.Insert(arch.PAddr(arch.PageBase(gva, size)), e.Frame())
 			r.EPTWalks++
 			return e.Frame(), size, eptOK
 		}
@@ -367,21 +367,21 @@ func smallCaches() *arch.SystemConfig {
 	return &cfg
 }
 
-// checkNTLBDisjoint fails the test unless every nTLB entry maps one
-// page of the EPT leaf size and no two entries cover the same
-// guest-physical page: the nTLB returns the first entry covering an
-// address, which is the only one.
+// checkNTLBDisjoint fails the test unless every nTLB key is the base of
+// one page of the EPT leaf size and no two keys cover the same
+// guest-physical page: the nTLB looks an address up by its page base at
+// that size, which must be the only entry covering it.
 func checkNTLBDisjoint(t *testing.T, n *mmucache.NTLB, eptPages arch.PageSize) {
 	t.Helper()
 	seen := map[arch.PAddr]bool{}
-	for _, e := range n.Entries() {
-		if e.Size != eptPages || uint64(e.GBase)&eptPages.Mask() != 0 {
-			t.Fatalf("nTLB entry %+v is not a %v-aligned %v page", e, eptPages, eptPages)
+	for _, gbase := range n.Keys() {
+		if uint64(gbase)&eptPages.Mask() != 0 {
+			t.Fatalf("nTLB key %#x is not a %v-aligned page base", uint64(gbase), eptPages)
 		}
-		if seen[e.GBase] {
-			t.Fatalf("two nTLB entries cover gPA %#x", uint64(e.GBase))
+		if seen[gbase] {
+			t.Fatalf("two nTLB entries cover gPA %#x", uint64(gbase))
 		}
-		seen[e.GBase] = true
+		seen[gbase] = true
 	}
 }
 
@@ -467,7 +467,7 @@ func FuzzNestedMatchesReference(f *testing.F) {
 			if got != want {
 				t.Fatalf("walk %d of %#x (budget %d):\n got  %+v\n want %+v", i, uint64(va), budget, got, want)
 			}
-			checkNTLBDisjoint(t, w.ntlb, eptPages)
+			checkNTLBDisjoint(t, &w.ntlb, eptPages)
 			for _, s := range []struct {
 				name      string
 				got, want any
