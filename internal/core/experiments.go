@@ -63,7 +63,7 @@ func wrap[T Renderer](fn func(*Session) (T, error)) func(*Session) (Renderer, er
 // Experiments returns the full reproduction index: one entry per table
 // and figure of the paper's evaluation.
 func Experiments() []Experiment {
-	return []Experiment{
+	exps := []Experiment{
 		{"tables", "Tables I-III: workload, generator and system inventories", wrap(Tables)},
 		{"fig1", "Relative AT overhead vs memory footprint, all workloads", wrap(Fig1)},
 		{"fig2", "cc-urand overhead vs log10 footprint with linear fit", wrap(Fig2)},
@@ -87,6 +87,11 @@ func Experiments() []Experiment {
 		{"refute", "Adversarial counter-identity sweep: perturb page sizes, virt, walker, promotion, sampling, tenants and hunt invariant breakage", wrap(RefuteExperiment)},
 		{"schemes", "Extension: translation-scheme matrix — radix vs Victima vs Mitosis vs die-stacked DRAM cache, identity-audited", wrap(SchemesExperiment)},
 	}
+	for i := range exps {
+		id, run := exps[i].ID, exps[i].Run
+		exps[i].Run = func(s *Session) (Renderer, error) { return run(s.forExperiment(id)) }
+	}
+	return exps
 }
 
 // ExperimentByID finds an experiment by CLI name.

@@ -120,8 +120,13 @@ func SweepOverhead(cfg *RunConfig, spec *workloads.Spec) ([]OverheadPoint, error
 // and share its result), and all of a session's work runs on one bounded
 // worker pool.
 type Session struct {
-	cfg *RunConfig
-	mu  sync.Mutex
+	cfg  *RunConfig
+	memo *sweepMemo
+}
+
+// sweepMemo is a session's sweep memo, shared by its experiment views.
+type sweepMemo struct {
+	mu sync.Mutex
 	//atlint:guardedby mu
 	sweeps map[string]*sweepCall
 }
@@ -144,7 +149,17 @@ func NewSession(cfg RunConfig) *Session {
 	if cfg.machines == nil {
 		cfg.machines = newMachinePool(cfg.parallelism())
 	}
-	return &Session{cfg: &cfg, sweeps: make(map[string]*sweepCall)}
+	return &Session{cfg: &cfg, memo: &sweepMemo{sweeps: make(map[string]*sweepCall)}}
+}
+
+// forExperiment returns a view of s whose units carry experiment id's
+// profile label. The view shares s's memo, pools and everything else, so
+// a sweep two experiments share is measured once, under the label of the
+// experiment that asked first.
+func (s *Session) forExperiment(id string) *Session {
+	cfg := *s.cfg
+	cfg.experiment = id
+	return &Session{cfg: &cfg, memo: s.memo}
 }
 
 // Config returns a copy of the session's run configuration. Experiments
@@ -157,15 +172,15 @@ func (s *Session) Config() RunConfig { return *s.cfg }
 // another goroutine is already measuring the same workload, Sweep waits
 // for that measurement and shares its result instead of repeating it.
 func (s *Session) Sweep(name string) ([]OverheadPoint, error) {
-	s.mu.Lock()
-	if c, ok := s.sweeps[name]; ok {
-		s.mu.Unlock()
+	s.memo.mu.Lock()
+	if c, ok := s.memo.sweeps[name]; ok {
+		s.memo.mu.Unlock()
 		<-c.done
 		return c.pts, c.err
 	}
 	c := &sweepCall{done: make(chan struct{})}
-	s.sweeps[name] = c
-	s.mu.Unlock()
+	s.memo.sweeps[name] = c
+	s.memo.mu.Unlock()
 	defer close(c.done)
 
 	spec, err := workloads.ByName(name)

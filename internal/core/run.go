@@ -6,8 +6,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sync"
 
 	"atscale/internal/arch"
@@ -103,6 +105,10 @@ type RunConfig struct {
 	// stay campaign-unique.
 	UnitTag string
 
+	// experiment is the ID of the experiment the config runs under, the
+	// `experiment` profile label of its units ("" outside an experiment:
+	// no label).
+	experiment string
 	// pool is the worker pool shared by every config copied from one
 	// session; NewSession creates it (see schedule.go).
 	pool limiter
@@ -162,12 +168,35 @@ type RunResult struct {
 	SampleDroppedWeight uint64
 }
 
+// runSteady runs a unit's measured region. It is a variable only so that
+// tests can compare the overlapped run with an inline one.
+var runSteady = workloads.RunPhased
+
 // Run executes one measurement: build the instance on a fresh machine
-// backed with the given page size, then run the measured region.
-func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (RunResult, error) {
+// backed with the given page size, then run the measured region. The
+// unit runs under the runtime/pprof labels experiment (when the config
+// runs under one), unit, scheme and pages, set once per unit, so a CPU
+// profile splits by them; the measured region's timing back end adds
+// side=back (see machine.Overlap).
+func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (r RunResult, err error) {
 	if cfg.GuestPages != nil {
 		ps = *cfg.GuestPages
 	}
+	unit := unitName(cfg, spec, param, ps)
+	// Keys in sorted order: pprof.Labels then makes the set in one
+	// allocation.
+	labels := pprof.Labels("pages", ps.String(), "scheme", topdownGroup(cfg), "unit", unit)
+	if cfg.experiment != "" {
+		labels = pprof.Labels("experiment", cfg.experiment, "pages", ps.String(), "scheme", topdownGroup(cfg), "unit", unit)
+	}
+	pprof.Do(context.Background(), labels, func(ctx context.Context) {
+		r, err = run(ctx, cfg, spec, param, ps, unit)
+	})
+	return r, err
+}
+
+// run is Run under the unit's profile labels, carried by ctx.
+func run(ctx context.Context, cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize, unit string) (RunResult, error) {
 	sys := cfg.System
 	// Synthetic sweeps reach virtual footprints beyond the default
 	// physical memory; give the simulated machine DRAM headroom (it is
@@ -193,7 +222,6 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 	// timeline too; the unit name doubles as the process name, so it
 	// carries every config variant that distinguishes otherwise-equal
 	// (workload, param, page size) units within one campaign.
-	unit := unitName(cfg, spec, param, ps)
 	m.EnableTrace(cfg.Trace, unit)
 	cfg.Events.UnitStarted()
 	inst, err := spec.Instantiate(m, param)
@@ -223,7 +251,7 @@ func Run(cfg *RunConfig, spec *workloads.Spec, param uint64, ps arch.PageSize) (
 	}
 	start := m.Counters()
 	startCycle := m.CycleCount()
-	workloads.RunPhased(m, inst, cfg.Budget)
+	runSteady(ctx, m, inst, cfg.Budget)
 	endCycle := m.CycleCount()
 	delta := perf.Delta(start, m.Counters())
 	r := RunResult{

@@ -59,10 +59,8 @@ const promoSampleCapacity = 1 << 17
 // HotBlocks aggregates walk samples at.
 const block2MShift = 21
 
-// EnablePromotion switches the WCPI-guided promotion policy on. Only
-// meaningful for machines with a 4 KB heap policy (superpage-backed heaps
-// have nothing to promote).
-func (m *Machine) EnablePromotion(cfg PromotionConfig) {
+// enablePromotion is Machine.EnablePromotion's back-end half.
+func (b *backEnd) enablePromotion(cfg PromotionConfig) {
 	if cfg.Epoch == 0 {
 		cfg = DefaultPromotionConfig()
 	}
@@ -77,18 +75,15 @@ func (m *Machine) EnablePromotion(cfg PromotionConfig) {
 	if err := smp.Arm(perf.DTLBStoreMissWalk, 1); err != nil {
 		panic(err)
 	}
-	m.core.AttachSampler(smp)
-	m.promo = &promoState{cfg: cfg, last: m.core.Counters(), smp: smp}
+	b.core.AttachSampler(smp)
+	b.promo = &promoState{cfg: cfg, last: b.core.Counters(), smp: smp}
 }
-
-// Promotions returns how many 2 MB blocks the policy has collapsed.
-func (m *Machine) Promotions() uint64 { return m.as.Promotions() }
 
 // promoTick runs once per epoch: measure the epoch's WCPI and, if
 // translation pressure is high, collapse the walk-hottest blocks.
-func (m *Machine) promoTick() {
-	p := m.promo
-	cur := m.core.Counters()
+func (b *backEnd) promoTick() {
+	p := b.promo
+	cur := b.core.Counters()
 	delta := perf.Delta(p.last, cur)
 	p.last = cur
 
@@ -105,38 +100,35 @@ func (m *Machine) promoTick() {
 	if wcpi < p.cfg.WCPIThreshold {
 		return
 	}
-	for _, b := range hotBlocks {
-		block := arch.VAddr(b)
-		if !m.as.CanPromote(block) {
+	for _, hb := range hotBlocks {
+		block := arch.VAddr(hb)
+		if !b.as.CanPromote(block) {
 			continue
 		}
-		if err := m.as.Promote(block); err != nil {
+		if err := b.as.Promote(block); err != nil {
 			continue // e.g. out of 2MB frames: skip, try again later
 		}
 		// TLB shootdown for the collapsed range plus the stale PDE
 		// pointer in the paging-structure caches.
 		for off := uint64(0); off < arch.Page2M.Bytes(); off += arch.Page4K.Bytes() {
-			m.core.InvalidateTranslation(block+arch.VAddr(off), arch.Page4K)
+			b.core.InvalidateTranslation(block+arch.VAddr(off), arch.Page4K)
 		}
-		m.core.InvalidatePDE(block)
-		m.core.Stall(p.cfg.CostCycles)
-		m.core.CountSoftware(perf.THPPromotions, 1)
-		// The promoted translation will be reloaded by the next access's
-		// walk; quiet-access translations must not go stale either.
-		m.quietInvalidate()
+		b.core.InvalidatePDE(block)
+		b.core.Stall(p.cfg.CostCycles)
+		b.core.CountSoftware(perf.THPPromotions, 1)
 	}
 }
 
 // maybePromote is called from the hot access path; it is two compares in
 // the common case.
-func (m *Machine) maybePromote() {
-	p := m.promo
+func (b *backEnd) maybePromote() {
+	p := b.promo
 	if p == nil {
 		return
 	}
 	p.sinceAcc++
 	if p.sinceAcc >= p.cfg.Epoch {
 		p.sinceAcc = 0
-		m.promoTick()
+		b.promoTick()
 	}
 }

@@ -17,9 +17,6 @@ type Memory interface {
 	Read64(pa arch.PAddr) uint64
 	// Write64 stores an 8-byte word at pa (8-byte aligned).
 	Write64(pa arch.PAddr, v uint64)
-	// CopyRange copies n bytes from src to dst (4 KB-aligned addresses
-	// and length).
-	CopyRange(dst, src arch.PAddr, n uint64)
 }
 
 var _ Memory = (*Phys)(nil)

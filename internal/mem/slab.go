@@ -1,6 +1,9 @@
 package mem
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // slabBytes is the size of a mapped host slab: sixteen 2 MB huge pages.
 // Only the huge pages chunks have been carved from are ever touched, so
@@ -25,30 +28,42 @@ var mapSlab = platformMapSlab
 var hostMapped atomic.Int64
 
 // HostMappedBytes returns how many bytes of address space the process
-// holds mapped outside the Go heap for Phys backing; only the huge pages
-// chunks were carved from are resident. The Go runtime's memory
+// holds mapped outside the Go heap for Phys and Words backing; only the
+// huge pages chunks were carved from are resident. The Go runtime's memory
 // statistics do not include them.
 func HostMappedBytes() int64 { return hostMapped.Load() }
 
-// host is the host memory one Phys carves chunks from. It is its own
-// object, holding no reference to the Phys, so that the Phys's cleanup
-// can take it as argument.
+// host is the host memory a Phys, and the Words made from it, carve
+// chunks and groups from. It is its own object, holding no reference to
+// the Phys, so that the Phys's cleanup can take it as argument. A Phys
+// and its Words may be used from two goroutines, so carving locks.
 type host struct {
+	mu sync.Mutex
 	// slab is what is left to carve of the newest slab.
+	//atlint:guardedby mu
 	slab []byte
 	// unmaps holds one unmap function per mapped slab.
+	//atlint:guardedby mu
 	unmaps []func()
+	// made holds the slabs that came from make. The groups that point
+	// into them are not scanned by the garbage collector, so this is
+	// what keeps them alive.
+	//atlint:guardedby mu
+	made [][]byte
 }
 
 // carve returns a fresh zeroed chunk from the current slab, starting a new
 // slab when it runs out.
 func (h *host) carve() *[chunkBytes]byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if len(h.slab) < chunkBytes {
 		if s, unmap, err := mapSlab(slabBytes); err == nil {
 			h.slab = s
 			h.unmaps = append(h.unmaps, unmap)
 		} else {
 			h.slab = make([]byte, heapSlabBytes)
+			h.made = append(h.made, h.slab)
 		}
 	}
 	c := (*[chunkBytes]byte)(h.slab)
@@ -59,8 +74,10 @@ func (h *host) carve() *[chunkBytes]byte {
 // release unmaps every mapped slab. Slabs from make are left to the
 // garbage collector.
 func (h *host) release() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, unmap := range h.unmaps {
 		unmap()
 	}
-	h.slab, h.unmaps = nil, nil
+	h.slab, h.unmaps, h.made = nil, nil, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -138,6 +139,81 @@ func TestRecordReplayCounterIdentity(t *testing.T) {
 	}
 	if rec.Footprint() != rep.Footprint() {
 		t.Errorf("footprints differ: %d vs %d", rec.Footprint(), rep.Footprint())
+	}
+}
+
+// recordMix records a short program on a fresh machine: allocations with
+// both Malloc and MustMalloc, set-up pokes, then inside run a measured
+// mix with pokes and peeks between the timed accesses. It returns the
+// trace and the recorded machine.
+func recordMix(t *testing.T, run func(m *machine.Machine, f func())) ([]byte, *machine.Machine) {
+	t.Helper()
+	m, err := machine.New(arch.DefaultSystem(), arch.Page4K, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	m.SetTracer(w)
+	a := m.MustMalloc(8 * arch.MB)
+	b, err := m.Malloc(64 * arch.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.MustMalloc(300)
+	for off := uint64(0); off < 4*arch.MB; off += 4096 {
+		m.Poke64(a+arch.VAddr(off), off)
+	}
+	m.Poke64(c, 1)
+	rng := rand.New(rand.NewSource(6))
+	run(m, func() {
+		for i := 0; i < 30_000; i++ {
+			va := a + arch.VAddr(rng.Uint64()%(8*arch.MB/8)*8)
+			v := m.Load64(va)
+			m.Branch(0x10, v&1 == 0)
+			switch rng.Intn(10) {
+			case 0:
+				m.Poke64(b+arch.VAddr(rng.Uint64()%(64*arch.KB/8)*8), v)
+			case 1:
+				m.Peek64(a + arch.VAddr(rng.Uint64()%(8*arch.MB/8)*8))
+			default:
+				m.Store64(va, v+1)
+				m.Ops(2)
+			}
+		}
+	})
+	m.SetTracer(nil)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), m
+}
+
+// TestRecordReplayMustMalloc: allocations made with MustMalloc are
+// recorded like Malloc's, so replaying a trace that uses both lands every
+// allocation at its recorded address and reproduces the counters.
+func TestRecordReplayMustMalloc(t *testing.T) {
+	raw, rec := recordMix(t, func(_ *machine.Machine, f func()) { f() })
+	rep, err := machine.New(arch.DefaultSystem(), arch.Page4K, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(rep, bytes.NewReader(raw), 0); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counters() != rep.Counters() {
+		t.Error("replay counters differ from recording")
+	}
+}
+
+// TestRecordOverlapMatchesInline: recording while the timing back end
+// runs on its own goroutine writes the same trace, prefaults in place,
+// as recording inline.
+func TestRecordOverlapMatchesInline(t *testing.T) {
+	inline, _ := recordMix(t, func(_ *machine.Machine, f func()) { f() })
+	overlapped, _ := recordMix(t, func(m *machine.Machine, f func()) { m.Overlap(context.Background(), f) })
+	if !bytes.Equal(inline, overlapped) {
+		t.Errorf("overlapped recording differs from inline (%d vs %d bytes)", len(overlapped), len(inline))
 	}
 }
 

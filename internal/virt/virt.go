@@ -241,18 +241,6 @@ func (g *GuestPhys) Write64(gpa arch.PAddr, v uint64) {
 	g.hyp.host.Write64(g.translate(gpa), v)
 }
 
-// CopyRange copies n bytes between guest-physical ranges (4 KB-aligned),
-// chunk by chunk through the EPT.
-func (g *GuestPhys) CopyRange(dst, src arch.PAddr, n uint64) {
-	const chunk = uint64(1) << arch.PageShift4K
-	if !arch.IsAligned(uint64(dst), chunk) || !arch.IsAligned(uint64(src), chunk) || !arch.IsAligned(n, chunk) {
-		panic(fmt.Sprintf("virt: misaligned CopyRange(%#x, %#x, %d)", uint64(dst), uint64(src), n))
-	}
-	for off := uint64(0); off < n; off += chunk {
-		g.hyp.host.CopyRange(g.translate(dst+arch.PAddr(off)), g.translate(src+arch.PAddr(off)), chunk)
-	}
-}
-
 // zero clears a guest-physical range (4 KB-aligned) through the EPT.
 func (g *GuestPhys) zero(gpa arch.PAddr, n uint64) {
 	const chunk = uint64(1) << arch.PageShift4K

@@ -87,27 +87,6 @@ func TestEPTLeafGranularityBacking(t *testing.T) {
 	}
 }
 
-func TestGuestPhysCopyRange(t *testing.T) {
-	_, gphys := newStack(t, arch.Page4K)
-	src, err := gphys.AllocPage(arch.Page4K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := gphys.AllocPage(arch.Page4K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := arch.PAddr(0); off < 4096; off += 8 {
-		gphys.Write64(src+off, uint64(off)*3+1)
-	}
-	gphys.CopyRange(dst, src, 4096)
-	for off := arch.PAddr(0); off < 4096; off += 8 {
-		if v := gphys.Read64(dst + off); v != uint64(off)*3+1 {
-			t.Fatalf("copy mismatch at +%#x: %#x", uint64(off), v)
-		}
-	}
-}
-
 // TestGuestPageTableOverGuestPhys builds a real guest page table in
 // guest-physical memory and checks both software lookups compose: the
 // table's own pages translate through the EPT, and a mapped VA resolves

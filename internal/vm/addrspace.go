@@ -18,9 +18,11 @@ import (
 	"atscale/internal/pagetable"
 )
 
+// HeapBase is the first heap virtual address: every address Malloc
+// returns lies in [HeapBase, HeapEnd()).
+const HeapBase arch.VAddr = 0x0000_0100_0000_0000
+
 const (
-	// heapBase is the first heap virtual address.
-	heapBase arch.VAddr = 0x0000_0100_0000_0000
 	// regionGap separates consecutive regions to catch stray accesses.
 	regionGap = 64 * arch.KB
 	// mmapThreshold routes large allocations to their own region, like
@@ -118,7 +120,7 @@ func NewAddrSpaceTables(phys mem.Memory, policy arch.PageSize, pt Tables) (*Addr
 		phys:   phys,
 		pt:     pt,
 		policy: policy,
-		next:   heapBase,
+		next:   HeapBase,
 		arena:  -1,
 	}, nil
 }
@@ -135,7 +137,7 @@ func (as *AddrSpace) Reset(policy arch.PageSize) error {
 		return err
 	}
 	as.policy = policy
-	as.next = heapBase
+	as.next = HeapBase
 	as.regions = as.regions[:0]
 	as.arena = -1
 	as.arenaOff = 0
@@ -186,12 +188,10 @@ func (as *AddrSpace) Malloc(n uint64) (arch.VAddr, error) {
 func (as *AddrSpace) smallAlloc(n uint64) (arch.VAddr, error) {
 	if as.arena < 0 || as.arenaOff+n > as.regions[as.arena].Len {
 		backing := as.BackingFor(arenaChunk)
-		r, err := as.addRegion(arch.AlignUp(arenaChunk, backing.Bytes()), backing)
-		if err != nil {
+		if _, err := as.addRegion(arch.AlignUp(arenaChunk, backing.Bytes()), backing); err != nil {
 			return 0, err
 		}
-		// addRegion may re-sort; find the new region's index by base.
-		as.arena = as.regionIndex(r.Base)
+		as.arena = len(as.regions) - 1 // addRegion appends
 		as.arenaOff = 0
 	}
 	va := as.regions[as.arena].Base + arch.VAddr(as.arenaOff)
@@ -201,7 +201,8 @@ func (as *AddrSpace) smallAlloc(n uint64) (arch.VAddr, error) {
 }
 
 // addRegion reserves a fresh virtual region of len bytes (a multiple of
-// backing) and records it for demand paging.
+// backing) and records it for demand paging. Virtual addresses are never
+// reused — next only grows — so appending keeps regions sorted.
 func (as *AddrSpace) addRegion(length uint64, backing arch.PageSize) (Region, error) {
 	base := arch.VAddr(arch.AlignUp(uint64(as.next), backing.Bytes()))
 	if !as.pt.Canonical(base + arch.VAddr(length)) {
@@ -209,14 +210,13 @@ func (as *AddrSpace) addRegion(length uint64, backing arch.PageSize) (Region, er
 	}
 	r := Region{Base: base, Len: length, Backing: backing}
 	as.regions = append(as.regions, r)
-	sort.Slice(as.regions, func(i, j int) bool { return as.regions[i].Base < as.regions[j].Base })
 	as.next = r.End() + regionGap
 	return r, nil
 }
 
-func (as *AddrSpace) regionIndex(base arch.VAddr) int {
-	return sort.Search(len(as.regions), func(i int) bool { return as.regions[i].Base >= base })
-}
+// HeapEnd bounds the heap: no region reaches it. Virtual addresses are
+// never reused, so it only grows, with each Malloc that opens a region.
+func (as *AddrSpace) HeapEnd() arch.VAddr { return as.next }
 
 // Find returns the region containing va, if any.
 func (as *AddrSpace) Find(va arch.VAddr) (Region, bool) {

@@ -33,10 +33,11 @@ func (as *AddrSpace) CanPromote(va arch.VAddr) bool {
 }
 
 // Promote collapses the 2 MB block containing va to a superpage mapping:
-// data from every mapped base page is copied into a fresh 2 MB frame, the
-// base mappings are destroyed, the page-table level is collapsed, and the
-// superpage is installed. Unmapped (never-touched) parts of the block read
-// as zero afterwards, exactly as before.
+// the base mappings are destroyed and their frames freed, the page-table
+// level is collapsed, and a fresh 2 MB frame is installed. Program data
+// is kept by virtual address outside simulated physical memory (see
+// package machine), so the remap moves no data: the copy khugepaged makes
+// is modelled by the caller's stall, not performed.
 //
 // The caller owns TLB and paging-structure-cache invalidation for the
 // affected range (hardware state is not the OS's to reach into directly).
@@ -55,12 +56,11 @@ func (as *AddrSpace) Promote(va arch.VAddr) error {
 		// pva is page-aligned, so Lookup returns the old frame base.
 		old, ps, ok := as.pt.Lookup(pva)
 		if !ok {
-			continue // never faulted; stays zero in the new frame
+			continue // never faulted
 		}
 		if ps != arch.Page4K {
 			return fmt.Errorf("vm: promoting %#x: unexpected %s mapping inside block", uint64(block), ps)
 		}
-		as.phys.CopyRange(frame+arch.PAddr(i*arch.Page4K.Bytes()), old, arch.Page4K.Bytes())
 		if err := as.pt.Unmap(pva, arch.Page4K); err != nil {
 			return fmt.Errorf("vm: promoting %#x: %w", uint64(block), err)
 		}

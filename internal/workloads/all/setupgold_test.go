@@ -2,6 +2,7 @@ package all
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -60,7 +61,7 @@ func setupDigest(t *testing.T, spec *workloads.Spec) string {
 	if err != nil {
 		t.Fatalf("%s %d: %v", spec.Name(), param, err)
 	}
-	workloads.RunPhased(m, inst, 50_000)
+	workloads.RunPhased(context.Background(), m, inst, 50_000)
 	tr.h.Write([]byte(m.Counters().Format()))
 	return fmt.Sprintf("%s %d prefaults=%d pt_bytes=%d sha256=%x\n",
 		spec.Name(), param, tr.n, m.PageTableBytes(), tr.h.Sum(nil))

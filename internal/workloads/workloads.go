@@ -10,6 +10,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -136,10 +137,12 @@ func (s *Spec) Instantiate(m *machine.Machine, param uint64) (Instance, error) {
 }
 
 // RunPhased executes the instance's measured region with the steady
-// phase marked on the machine's timeline.
-func RunPhased(m *machine.Machine, inst Instance, budget uint64) {
+// phase marked on the machine's timeline. The workload runs beside the
+// machine's timing back end (machine.Overlap), which runs under ctx's
+// profile labels plus side=back; the results are those of an inline run.
+func RunPhased(ctx context.Context, m *machine.Machine, inst Instance, budget uint64) {
 	m.BeginPhase(PhaseSteady)
-	inst.Run(budget)
+	m.Overlap(ctx, func() { inst.Run(budget) })
 	m.EndPhase()
 }
 
