@@ -11,6 +11,7 @@ import (
 
 	"atscale/internal/arch"
 	"atscale/internal/machine"
+	"atscale/internal/perf"
 	"atscale/internal/refute"
 	"atscale/internal/telemetry"
 	"atscale/internal/workloads"
@@ -39,8 +40,13 @@ const flatgoldDir = "testdata/flatgold"
 type flatgoldCase struct {
 	name     string
 	workload string
-	ps       arch.PageSize
-	mutate   func(*RunConfig)
+	// param is the ladder point; 0 picks the workload's first.
+	param  uint64
+	ps     arch.PageSize
+	mutate func(*RunConfig)
+	// promotes requires the unit to collapse at least one block, so the
+	// golden pins the promotion path itself.
+	promotes bool
 }
 
 func flatgoldCases() []flatgoldCase {
@@ -68,6 +74,10 @@ func flatgoldCases() []flatgoldCase {
 			}},
 		{name: "promo", workload: "gups-rand", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.EnablePromotion = true }},
+		// "promo" never collapses a block; this footprint and budget do.
+		{name: "promo-live", workload: "gups-rand", param: 26, ps: arch.Page4K,
+			mutate:   func(c *RunConfig) { c.EnablePromotion = true; c.Budget = 100_000 },
+			promotes: true},
 		{name: "sampling", workload: "stride-synth", ps: arch.Page4K,
 			mutate: func(c *RunConfig) {
 				c.SamplePeriod = refuteSamplePeriod
@@ -90,6 +100,10 @@ func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool) string {
 		c.mutate(&cfg)
 	}
 	spec := mustSpec(t, c.workload)
+	param := c.param
+	if param == 0 {
+		param = spec.Ladder[0]
+	}
 	var parked []*machine.Machine
 	if pool != nil {
 		dirty := cfg
@@ -110,9 +124,12 @@ func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool) string {
 		cfg.machines = pool
 		parked = pooled(pool)
 	}
-	r, err := Run(&cfg, spec, spec.Ladder[0], c.ps)
+	r, err := Run(&cfg, spec, param, c.ps)
 	if err != nil {
 		t.Fatalf("flatgold %s: %v", c.name, err)
+	}
+	if c.promotes && r.Counters.Get(perf.THPPromotions) == 0 {
+		t.Errorf("flatgold %s: no block was promoted: the case checks nothing of promotion", c.name)
 	}
 	if pool != nil {
 		if after := pooled(pool); len(parked) != 1 || len(after) != 1 || after[0] != parked[0] {
@@ -120,7 +137,7 @@ func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "unit: %s\n", unitName(&cfg, spec, spec.Ladder[0], c.ps))
+	fmt.Fprintf(&b, "unit: %s\n", unitName(&cfg, spec, param, c.ps))
 	fmt.Fprintf(&b, "footprint: %d\n", r.Footprint)
 	fmt.Fprintf(&b, "samples: %d dropped: %d droppedWeight: %d\n",
 		len(r.Samples), r.SampleDropped, r.SampleDroppedWeight)
