@@ -131,3 +131,36 @@ func TestRenewRefusesUnsupportedPolicy(t *testing.T) {
 		t.Error("Renew accepted a 2MB heap over a hashed page table")
 	}
 }
+
+// TestSwitchTenantZeroAllocs pins the tenant switch's allocation
+// contract: the multi-tenant sweeps switch tenants inside the measured
+// region, and the core's fault handler is built once per machine, not
+// per switch.
+func TestSwitchTenantZeroAllocs(t *testing.T) {
+	m := newVirtM(t, arch.Page4K, arch.Page4K)
+	second, err := m.AddTenant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		m.MustMalloc(arch.MB)
+		if err := m.SwitchTenant(second); err != nil {
+			t.Fatal(err)
+		}
+		m.MustMalloc(arch.MB)
+		if err := m.SwitchTenant(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func() {
+		if err := m.SwitchTenant(second); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SwitchTenant(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Errorf("tenant switch allocates %.2f allocs/op, want 0", avg)
+	}
+}
