@@ -44,6 +44,17 @@ const (
 	CacheLineSize = 64
 	// PTEsPerLine is how many PTEs share one cache line.
 	PTEsPerLine = CacheLineSize / PTESize
+
+	// PhysBase is the first address simulated physical memory hands
+	// out, host and guest alike: page zero stays unused, which catches
+	// null-physical-address bugs in the page-table code. The last is
+	// PhysBase + PhysMemBytes - 1.
+	PhysBase = 1 << PageShift4K
+	// CacheTagLimit is the data caches' empty-way tag. A way holds its
+	// line's 32-bit set-relative tag, the line's quotient by the level's
+	// set count, so Validate requires every physical line's tag to stay
+	// below this sentinel.
+	CacheTagLimit = 1<<32 - 1
 )
 
 // Handy byte-size constants.

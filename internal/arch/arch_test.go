@@ -152,6 +152,31 @@ func TestDefaultSystemValidates(t *testing.T) {
 	}
 }
 
+// TestDefaultSystemValidatesAtRunMemory: core.Run raises physical
+// memory to 256 GiB, which Table III's caches must still tag in 32 bits.
+func TestDefaultSystemValidatesAtRunMemory(t *testing.T) {
+	cfg := DefaultSystem()
+	cfg.PhysMemBytes = 256 * GB
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("DefaultSystem at 256 GiB invalid: %v", err)
+	}
+}
+
+// TestValidateBoundsCacheTags: the largest physical memory whose last
+// line keeps a set-relative tag below CacheTagLimit validates, for a
+// fully associative (1-set) and a 64-set L1D. TestValidateCatchesBadGeometry
+// rejects one byte more.
+func TestValidateBoundsCacheTags(t *testing.T) {
+	for _, sets := range []uint64{1, 64} {
+		cfg := DefaultSystem()
+		cfg.L1D = CacheGeometry{SizeBytes: int(sets) * 8 * CacheLineSize, Ways: 8, Latency: 4}
+		cfg.PhysMemBytes = CacheTagLimit*sets*CacheLineSize - PhysBase
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d sets at %d bytes: %v", sets, cfg.PhysMemBytes, err)
+		}
+	}
+}
+
 func TestValidateCatchesBadGeometry(t *testing.T) {
 	cfg := DefaultSystem()
 	cfg.STLB.Ways = 3 // 1024/3 not integral
@@ -189,6 +214,11 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 		"PDE cache past 65535 entries":           func(c *SystemConfig) { c.PSC.PDEntries = 1 << 16 },
 		"EPT PDE cache past 65535 entries":       func(c *SystemConfig) { c.Virt = DefaultVirt(); c.Virt.EPTPSC.PDEntries = 1 << 16 },
 		"nTLB past 65535 entries":                func(c *SystemConfig) { c.Virt = DefaultVirt(); c.Virt.NTLBEntries = 1 << 16 },
+		"1-set L1D past its 32-bit tags": func(c *SystemConfig) {
+			c.L1D = CacheGeometry{SizeBytes: 8 * CacheLineSize, Ways: 8, Latency: 4}
+			c.PhysMemBytes = CacheTagLimit*CacheLineSize - PhysBase + 1
+		},
+		"64-set L1D past its 32-bit tags": func(c *SystemConfig) { c.PhysMemBytes = CacheTagLimit*64*CacheLineSize - PhysBase + 1 },
 	} {
 		cfg = DefaultSystem()
 		mutate(&cfg)

@@ -327,6 +327,13 @@ func (c *SystemConfig) Validate() error {
 	if err := c.PSC.validate("PSC"); err != nil {
 		return err
 	}
+	if c.PhysMemBytes < GB {
+		return errf("PhysMemBytes %d too small (need >= 1GB)", c.PhysMemBytes)
+	}
+	// Every physical line must have a set-relative tag below the caches'
+	// empty-way sentinel at every level. PhysBase is line-aligned, so
+	// the sum below is the last line and cannot overflow.
+	lastLine := PhysBase/CacheLineSize + (c.PhysMemBytes-1)/CacheLineSize
 	for _, cg := range []struct {
 		name string
 		g    CacheGeometry
@@ -334,12 +341,13 @@ func (c *SystemConfig) Validate() error {
 		if err := cg.g.validate(cg.name); err != nil {
 			return err
 		}
+		if sets := uint64(cg.g.SizeBytes / CacheLineSize / cg.g.Ways); lastLine/sets >= CacheTagLimit {
+			return errf("%s: PhysMemBytes %d too large for 32-bit tags over %d sets (need <= %d)",
+				cg.name, c.PhysMemBytes, sets, CacheTagLimit*sets*CacheLineSize-PhysBase)
+		}
 	}
 	if c.DRAMLatency == 0 {
 		return errf("DRAMLatency must be positive")
-	}
-	if c.PhysMemBytes < GB {
-		return errf("PhysMemBytes %d too small (need >= 1GB)", c.PhysMemBytes)
 	}
 	if c.CPU.BaseCPI <= 0 {
 		return errf("CPU.BaseCPI must be positive")

@@ -95,3 +95,37 @@ func TestLRUBeatsRandomOnLoopingPattern(t *testing.T) {
 		t.Errorf("random policy hit only %d times; should retain a fraction of the loop", random)
 	}
 }
+
+// TestTagsKeepHighLinesApart: lines of one set that differ only above
+// the set bits — quotients by the set count of q and q+1 around bit 31,
+// and the largest tag arch.SystemConfig.Validate admits — stay distinct
+// under every policy, at a fully associative, a power-of-two and Table
+// III's L3 set count.
+func TestTagsKeepHighLinesApart(t *testing.T) {
+	const ways = 8
+	for _, sets := range []uint64{1, 64, 24576} {
+		for _, p := range []arch.ReplacementPolicy{arch.ReplaceLRU, arch.ReplaceRandom, arch.ReplaceNRU} {
+			c := New(arch.CacheGeometry{SizeBytes: int(sets) * ways * arch.CacheLineSize, Ways: ways, Latency: 4, Replacement: p})
+			set := sets - 1
+			line := func(q uint64) uint64 { return q*sets + set }
+			filled := []uint64{1<<31 - 1, 1 << 31, invalidTag - 1}
+			for _, q := range filled {
+				c.Fill(line(q))
+			}
+			for _, q := range filled {
+				if !c.Contains(line(q)) || !c.Lookup(line(q)) {
+					t.Errorf("%d sets, %s: line with quotient %#x missing", sets, p, q)
+				}
+			}
+			for _, q := range []uint64{0, 1<<31 + 1, invalidTag - 2} {
+				if c.Contains(line(q)) {
+					t.Errorf("%d sets, %s: unfilled quotient %#x aliases a resident line", sets, p, q)
+				}
+			}
+			c.Invalidate(line(invalidTag - 1))
+			if c.Contains(line(invalidTag-1)) || !c.Contains(line(1<<31)) || !c.Contains(line(1<<31-1)) {
+				t.Errorf("%d sets, %s: invalidating the top line disturbed the others", sets, p)
+			}
+		}
+	}
+}

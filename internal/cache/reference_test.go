@@ -12,10 +12,10 @@ import (
 )
 
 // refCache is the stamp-based cache the recency-ordered Cache replaced,
-// kept as its reference model: every way carries the clock value of its
-// last reference (or an NRU reference bit), a fill takes the set's first
-// invalid way or else the policy's victim, and LRU evicts the way with
-// the oldest stamp.
+// kept as its reference model: every way carries the full line address
+// and the clock value of its last reference (or an NRU reference bit), a
+// fill takes the set's first invalid way or else the policy's victim,
+// and LRU evicts the way with the oldest stamp.
 type refCache struct {
 	sets, ways uint64
 	kind       replKind
@@ -24,6 +24,9 @@ type refCache struct {
 	clock      uint64
 	rng        uint64
 }
+
+// refInvalid marks the reference's empty ways; no drawn line reaches it.
+const refInvalid = math.MaxUint64
 
 func newRefCache(g arch.CacheGeometry) *refCache {
 	c := New(g)
@@ -36,7 +39,7 @@ func newRefCache(g arch.CacheGeometry) *refCache {
 
 func (c *refCache) reset() {
 	for i := range c.tags {
-		c.tags[i] = invalidTag
+		c.tags[i] = refInvalid
 	}
 	clear(c.stamp)
 	c.clock = 0
@@ -102,7 +105,7 @@ func (c *refCache) fill(line uint64) {
 			c.touch(base + w)
 			return
 		}
-		if c.tags[base+w] == invalidTag && empty < 0 {
+		if c.tags[base+w] == refInvalid && empty < 0 {
 			empty = int(w)
 		}
 	}
@@ -118,7 +121,7 @@ func (c *refCache) invalidate(line uint64) {
 	base := c.base(line)
 	for w := uint64(0); w < c.ways; w++ {
 		if c.tags[base+w] == line {
-			c.tags[base+w] = invalidTag
+			c.tags[base+w] = refInvalid
 			c.stamp[base+w] = 0
 			return
 		}
@@ -130,17 +133,30 @@ func (c *refCache) invalidate(line uint64) {
 func (c *refCache) recencyOrder(base uint64) []uint64 {
 	var ways []uint64
 	for w := base; w < base+c.ways; w++ {
-		if c.tags[w] != invalidTag {
+		if c.tags[w] != refInvalid {
 			ways = append(ways, w)
 		}
 	}
 	slices.SortFunc(ways, func(a, b uint64) int { return cmp.Compare(c.stamp[b], c.stamp[a]) })
 	lines := make([]uint64, c.ways)
 	for i := range lines {
-		lines[i] = invalidTag
+		lines[i] = refInvalid
 	}
 	for i, w := range ways {
 		lines[i] = c.tags[w]
+	}
+	return lines
+}
+
+// lines returns the line addresses of the set at base, each way's tag
+// times the set count plus the set, and refInvalid for an empty way.
+func (c *Cache) lines(base uint64) []uint64 {
+	lines := make([]uint64, c.ways)
+	for w, tag := range c.tags[base : base+c.ways] {
+		lines[w] = refInvalid
+		if tag != invalidTag {
+			lines[w] = uint64(tag)*c.sets + base/c.ways
+		}
 	}
 	return lines
 }
@@ -153,7 +169,7 @@ func (c *Cache) sameState(ref *refCache) string {
 		return "random state differs"
 	}
 	for base := uint64(0); base < uint64(len(c.tags)); base += c.ways {
-		got, want := c.tags[base:base+c.ways], ref.tags[base:base+c.ways]
+		got, want := c.lines(base), ref.tags[base:base+c.ways]
 		if c.kind == replLRU {
 			want = ref.recencyOrder(base)
 		}
@@ -171,6 +187,10 @@ func (c *Cache) sameState(ref *refCache) string {
 // with one random Lookup/Fill/Invalidate/Reset stream over geometries
 // of 1-13 sets (most not powers of two), 1-20 ways and every replacement
 // policy, and compares every result and the resident set after each op.
+// Each op draws its line from one of three windows, twice the cache's
+// lines wide: the lowest lines, the lines whose tags cross bit 31, and
+// the highest lines arch.SystemConfig.Validate admits for the set count,
+// whose tag is one below the empty-way sentinel.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(2), uint8(19), uint8(0))
@@ -188,8 +208,10 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		c, ref := New(g), newRefCache(g)
 		rng := rand.New(rand.NewSource(seed))
 		lines := uint64(2*sets*ways + 1)
+		top := maxLine(uint64(sets))
+		windows := [...]uint64{0, uint64(sets)<<31 - lines/2, top + 1 - lines}
 		for op := 0; op < 2000; op++ {
-			line := rng.Uint64() % lines
+			line := windows[rng.Intn(len(windows))] + rng.Uint64()%lines
 			switch r := rng.Intn(64); {
 			case r == 0:
 				c.Reset()
@@ -211,3 +233,8 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// maxLine is the largest line address whose tag, at the given set count,
+// stays below the empty-way sentinel: the bound
+// arch.SystemConfig.Validate enforces on physical memory.
+func maxLine(sets uint64) uint64 { return sets*invalidTag - 1 }

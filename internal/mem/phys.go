@@ -42,9 +42,8 @@ const (
 	groupBytes  = groupChunks << chunkShift
 )
 
-// physBase is the first physical address handed out. Leaving page zero
-// unused catches null-physical-address bugs in the page-table code.
-const physBase = 1 << arch.PageShift4K
+// physBase is the first physical address handed out.
+const physBase = arch.PhysBase
 
 // Phys is the simulated physical memory. It is not safe for concurrent use;
 // the machine model is single-core (the paper's per-core counters are what

@@ -26,7 +26,7 @@ import (
 // gpaBase is the first guest-physical address handed out. Like mem.Phys,
 // guest-physical page zero stays unused to catch null-pointer bugs in the
 // guest page-table code.
-const gpaBase arch.PAddr = 1 << arch.PageShift4K
+const gpaBase arch.PAddr = arch.PhysBase
 
 // Hypervisor owns host physical memory on behalf of its guests: it
 // maintains the EPT (a radix table over host memory whose input addresses
