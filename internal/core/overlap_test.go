@@ -37,7 +37,11 @@ func pokeSpec() *workloads.Spec {
 			if err != nil {
 				return nil, err
 			}
-			a.Fill(n/4, func(i uint64) uint64 { return i * 3 })
+			workloads.FillRuns(n/4, func(s uint64, runs [][]uint64) {
+				for j := range runs[0] {
+					runs[0][j] = (s + uint64(j)) * 3
+				}
+			}, a)
 			return &pokeInstance{m: m, a: a}, nil
 		},
 	}

@@ -1,15 +1,18 @@
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"unsafe"
 )
 
+// chunk is one 4 KB backing chunk of 8-byte words, in host byte order: a
+// word is read or written with one indexed load or store.
+type chunk [chunkWords]uint64
+
 // group is one 2 MB span of a chunk directory: direct-indexed chunk
 // pointers. It is exactly one chunk in size, so groups are carved from
 // the host slabs like the chunks they index and cost the Go heap nothing.
-type group [groupChunks]*[chunkBytes]byte
+type group [groupChunks]*chunk
 
 // chunkDir is the sparse store behind Phys and Words: a two-level
 // direct-indexed directory — address → group → chunk — so a read is two
@@ -30,9 +33,10 @@ type chunkDir struct {
 
 	// spare holds chunks a Reset or a superpage free took out of the
 	// directory. They keep their old contents; fresh clears one when it
-	// hands it out again, so a Reset costs a directory scan, not a clear
-	// of everything the last unit touched.
-	spare []*[chunkBytes]byte
+	// hands it out again, unless a whole-chunk write is about to overwrite
+	// it, so a Reset costs a directory scan, not a clear of everything the
+	// last unit touched.
+	spare []*chunk
 
 	// host owns the slabs chunks and groups are carved from: a Phys's
 	// own, shared with the Words made from it.
@@ -56,20 +60,24 @@ func (d *chunkDir) checkLive() {
 }
 
 // fresh returns a zeroed chunk: a spare cleared now, or a new one carved
-// from the host slab.
-func (d *chunkDir) fresh() *[chunkBytes]byte {
+// from the host slab. With whole set, the caller overwrites every word of
+// the chunk before anything reads it, so a spare is handed out as it is.
+func (d *chunkDir) fresh(whole bool) *chunk {
 	if n := len(d.spare); n > 0 {
 		c := d.spare[n-1]
 		d.spare = d.spare[:n-1]
-		clear(c[:])
+		if !whole {
+			clear(c[:])
+		}
 		return c
 	}
 	return d.host.carve()
 }
 
 // chunk returns the backing chunk for address a, materializing it (and
-// its group) if needed.
-func (d *chunkDir) chunk(a uint64) *[chunkBytes]byte {
+// its group) if needed. With whole set, the caller overwrites every word
+// of a newly materialized chunk (fresh).
+func (d *chunkDir) chunk(a uint64, whole bool) *chunk {
 	d.checkLive()
 	cn := a >> chunkShift
 	gi := cn >> groupShift
@@ -78,12 +86,12 @@ func (d *chunkDir) chunk(a uint64) *[chunkBytes]byte {
 	}
 	g := d.spine[gi]
 	if g == nil {
-		g = (*group)(unsafe.Pointer(d.fresh()))
+		g = (*group)(unsafe.Pointer(d.fresh(false)))
 		d.spine[gi] = g
 	}
 	c := g[cn&(groupChunks-1)]
 	if c == nil {
-		c = d.fresh()
+		c = d.fresh(whole)
 		g[cn&(groupChunks-1)] = c
 		d.touched++
 	}
@@ -92,7 +100,7 @@ func (d *chunkDir) chunk(a uint64) *[chunkBytes]byte {
 
 // peek returns the backing chunk for address a without materializing it
 // (nil if the chunk was never touched).
-func (d *chunkDir) peek(a uint64) *[chunkBytes]byte {
+func (d *chunkDir) peek(a uint64) *chunk {
 	cn := a >> chunkShift
 	gi := cn >> groupShift
 	if gi >= uint64(len(d.spine)) {
@@ -117,8 +125,7 @@ func (d *chunkDir) read64(a uint64) uint64 {
 	if c == nil {
 		return 0 // untouched memory reads as zero
 	}
-	off := a & (chunkBytes - 1)
-	return binary.LittleEndian.Uint64(c[off : off+8])
+	return c[a>>3&(chunkWords-1)]
 }
 
 // write64 stores an 8-byte word at a, which must be 8-byte aligned.
@@ -126,25 +133,22 @@ func (d *chunkDir) write64(a, v uint64) {
 	if a&7 != 0 {
 		panic(fmt.Sprintf("mem: unaligned Write64(%#x)", a))
 	}
-	off := a & (chunkBytes - 1)
-	binary.LittleEndian.PutUint64(d.chunk(a)[off:off+8], v)
+	d.chunk(a, false)[a>>3&(chunkWords-1)] = v
 }
 
 // writeWords stores ws as consecutive 8-byte words from a, which must be
 // 8-byte aligned. The run must stay inside one 4 KB chunk, so it costs
-// one directory lookup however long it is.
+// one directory lookup and one copy however long it is. A run that covers
+// the whole chunk takes a spare chunk without clearing it first.
 func (d *chunkDir) writeWords(a uint64, ws []uint64) {
-	off := a & (chunkBytes - 1)
-	if a&7 != 0 || uint64(len(ws)) > (chunkBytes-off)/8 {
+	i := a >> 3 & (chunkWords - 1)
+	if a&7 != 0 || uint64(len(ws)) > chunkWords-i {
 		panic(fmt.Sprintf("mem: WriteWords(%#x) of %d words leaves its 4 KB chunk or is unaligned", a, len(ws)))
 	}
 	if len(ws) == 0 {
 		return
 	}
-	b := d.chunk(a)[off : off+8*uint64(len(ws))]
-	for i, w := range ws {
-		binary.LittleEndian.PutUint64(b[8*i:], w)
-	}
+	copy(d.chunk(a, len(ws) == chunkWords)[i:], ws)
 }
 
 // equal reports whether d and o cover the same extent, materialize the

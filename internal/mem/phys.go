@@ -1,5 +1,5 @@
 // Package mem implements the simulated machine's physical memory: a frame
-// allocator for all three x86-64 page sizes and a sparsely backed byte
+// allocator for all three x86-64 page sizes and a sparsely backed word
 // store. Backing chunks are materialized lazily on first touch, so a guest
 // may reserve far more physical memory than the host process ever commits
 // (a 1 GB guest superpage costs host memory only for the chunks the
@@ -28,8 +28,11 @@ import (
 // base page size so chunk boundaries never split a frame).
 const chunkShift = arch.PageShift4K
 
-// chunkBytes is the backing chunk size.
-const chunkBytes = 1 << chunkShift
+// chunkBytes is the backing chunk size, chunkWords its 8-byte words.
+const (
+	chunkBytes = 1 << chunkShift
+	chunkWords = chunkBytes / 8
+)
 
 // groupShift sizes the chunk directory's groups: 512 chunks (2 MB of
 // physical address space) per group, so group boundaries coincide with
@@ -287,11 +290,6 @@ func (p *Phys) Read64(pa arch.PAddr) uint64 { return p.read64(uint64(pa)) }
 
 // Write64 stores an 8-byte word at pa, which must be 8-byte aligned.
 func (p *Phys) Write64(pa arch.PAddr, v uint64) { p.write64(uint64(pa), v) }
-
-// WriteWords stores ws as consecutive 8-byte words from pa, which must be
-// 8-byte aligned. The run must stay inside one 4 KB chunk, so it costs one
-// chunk-directory lookup however long it is.
-func (p *Phys) WriteWords(pa arch.PAddr, ws []uint64) { p.writeWords(uint64(pa), ws) }
 
 // zeroRange clears [pa, pa+n) without materializing untouched chunks.
 func (p *Phys) zeroRange(pa arch.PAddr, n uint64) {

@@ -182,27 +182,3 @@ func TestMixedSizeAllocationsDontOverlap(t *testing.T) {
 		}
 	}
 }
-
-// TestWriteWordsStaysInChunk: WriteWords stores a run that ends exactly
-// at its 4 KB chunk's end, materializing only that chunk, and refuses a
-// run one word longer.
-func TestWriteWordsStaysInChunk(t *testing.T) {
-	p := NewPhys(arch.GB)
-	pa, _ := p.AllocPage(arch.Page2M)
-	start := pa + 4*arch.KB - 3*8
-	p.WriteWords(start, []uint64{7, 8, 9})
-	for i, want := range []uint64{7, 8, 9} {
-		if got := p.Read64(start + arch.PAddr(8*i)); got != want {
-			t.Errorf("word %d = %d, want %d", i, got, want)
-		}
-	}
-	if got := p.TouchedBytes(); got != 4*arch.KB {
-		t.Errorf("touched = %d, want one chunk", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for a run leaving its chunk")
-		}
-	}()
-	p.WriteWords(start, []uint64{1, 2, 3, 4})
-}

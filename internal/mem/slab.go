@@ -3,6 +3,7 @@ package mem
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // slabBytes is the size of a mapped host slab: sixteen 2 MB huge pages.
@@ -13,9 +14,10 @@ const slabBytes = 32 << 20
 // hugeBytes is the alignment of mapped slabs, the 2 MB huge page.
 const hugeBytes = 2 << 20
 
-// heapSlabBytes is the size of a slab allocated with make when no mapping
-// is available (256 chunks).
-const heapSlabBytes = 256 << chunkShift
+// heapSlabChunks is the size of a slab allocated with make when no
+// mapping is available. It is allocated as chunks, so every chunk is
+// word-aligned like the mapped ones.
+const heapSlabChunks = 256
 
 // mapSlab maps size bytes of zeroed host memory outside the Go heap,
 // hugeBytes-aligned and advised for transparent huge pages, and returns
@@ -41,7 +43,7 @@ type host struct {
 	mu sync.Mutex
 	// slab is what is left to carve of the newest slab.
 	//atlint:guardedby mu
-	slab []byte
+	slab []chunk
 	// unmaps holds one unmap function per mapped slab.
 	//atlint:guardedby mu
 	unmaps []func()
@@ -49,25 +51,27 @@ type host struct {
 	// into them are not scanned by the garbage collector, so this is
 	// what keeps them alive.
 	//atlint:guardedby mu
-	made [][]byte
+	made [][]chunk
 }
 
 // carve returns a fresh zeroed chunk from the current slab, starting a new
 // slab when it runs out.
-func (h *host) carve() *[chunkBytes]byte {
+func (h *host) carve() *chunk {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.slab) < chunkBytes {
+	if len(h.slab) == 0 {
 		if s, unmap, err := mapSlab(slabBytes); err == nil {
-			h.slab = s
+			// A mapped slab is hugeBytes-aligned outside the Go heap, so
+			// viewing its bytes as chunks of words is safe.
+			h.slab = unsafe.Slice((*chunk)(unsafe.Pointer(unsafe.SliceData(s))), len(s)/chunkBytes)
 			h.unmaps = append(h.unmaps, unmap)
 		} else {
-			h.slab = make([]byte, heapSlabBytes)
+			h.slab = make([]chunk, heapSlabChunks)
 			h.made = append(h.made, h.slab)
 		}
 	}
-	c := (*[chunkBytes]byte)(h.slab)
-	h.slab = h.slab[chunkBytes:]
+	c := &h.slab[0]
+	h.slab = h.slab[1:]
 	return c
 }
 

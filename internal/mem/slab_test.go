@@ -170,49 +170,52 @@ func TestMakeFallback(t *testing.T) {
 // benchMB is the footprint the layer benchmarks fill.
 const benchMB = 64
 
-// fillChunks writes every word of n consecutive chunks from pa, a page at
-// a time the way workload set-up does.
-func fillChunks(p *Phys, pa arch.PAddr, n int) {
-	var ws [chunkBytes / 8]uint64
+// fillChunks writes every word of n consecutive chunks from off, a page
+// at a time the way workload set-up does.
+func fillChunks(w *Words, off uint64, n int) {
+	var ws [chunkWords]uint64
 	for i := range ws {
 		ws[i] = uint64(i) | 1
 	}
 	for c := 0; c < n; c++ {
-		p.WriteWords(pa+arch.PAddr(c)*chunkBytes, ws[:])
+		w.WriteWords(off+uint64(c)*chunkBytes, ws[:])
 	}
 }
 
-// BenchmarkFirstTouch fills benchMB of a fresh memory and releases it:
-// the per-chunk cost of carving, host page faults and unmapping.
+// BenchmarkFirstTouch fills benchMB of a fresh store and releases it: the
+// per-chunk cost of carving, host page faults and unmapping.
 func BenchmarkFirstTouch(b *testing.B) {
 	const chunks = benchMB << 20 / chunkBytes
 	for i := 0; i < b.N; i++ {
 		p := NewPhys(arch.GB)
-		pa, _ := p.AllocPage(arch.Page1G)
-		fillChunks(p, pa, chunks)
+		w := p.NewWords()
+		w.Grow(benchMB << 20)
+		fillChunks(w, 0, chunks)
+		w.Release()
 		p.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunks), "ns/chunk")
 }
 
-// BenchmarkResetRefill resets a memory that touched benchMB and rewrites a
+// BenchmarkResetRefill resets a store that touched benchMB and rewrites a
 // quarter of that footprint, the pooled-machine renew pattern of a unit
-// smaller than its predecessor. It reports ns per rewritten chunk.
+// smaller than its predecessor. Every rewritten chunk is a spare. It
+// reports ns per rewritten chunk.
 func BenchmarkResetRefill(b *testing.B) {
 	const chunks = benchMB << 20 / chunkBytes
 	p := NewPhys(arch.GB)
 	defer p.Release()
-	pa, _ := p.AllocPage(arch.Page1G)
-	fillChunks(p, pa, chunks)
+	w := p.NewWords()
+	w.Grow(benchMB << 20)
+	fillChunks(w, 0, chunks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Reset()
-		pa, _ := p.AllocPage(arch.Page1G)
-		fillChunks(p, pa, chunks/4)
+		w.Reset()
+		fillChunks(w, 0, chunks/4)
 		// Restore the full footprint, untimed, so every Reset starts from
 		// the same state.
 		b.StopTimer()
-		fillChunks(p, pa+chunks/4*chunkBytes, chunks-chunks/4)
+		fillChunks(w, chunks/4*chunkBytes, chunks-chunks/4)
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunks/4), "ns/chunk")

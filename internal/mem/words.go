@@ -44,7 +44,7 @@ func (w *Words) Read64(off uint64) uint64 { return w.read64(off) }
 func (w *Words) Write64(off, v uint64) { w.write64(off, v) }
 
 // WriteWords stores ws as consecutive words from offset off, like Write64
-// word by word. The run must stay inside one 4 KB chunk.
+// word by word, with one copy. The run must stay inside one 4 KB chunk.
 func (w *Words) WriteWords(off uint64, ws []uint64) { w.writeWords(off, ws) }
 
 // Equal reports whether w and v cover the same offsets, materialize the

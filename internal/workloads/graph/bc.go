@@ -48,8 +48,11 @@ func (b *bc) Run(budget uint64) {
 // then the reverse dependency accumulation.
 func (b *bc) source(bud *workloads.Budget) {
 	// Per-source reset is untimed (between-trial state clearing).
-	workloads.FillRuns(b.g.N, func(uint64) workloads.Row { return workloads.Row{inf, 0, 0} },
-		b.dist, b.sigma, b.delta)
+	workloads.FillRuns(b.g.N, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j], runs[1][j], runs[2][j] = inf, 0, 0
+		}
+	}, b.dist, b.sigma, b.delta)
 	src := b.rng.Intn(b.g.N)
 	b.dist.Set(src, 0)
 	b.sigma.Set(src, 1)

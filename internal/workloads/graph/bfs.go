@@ -41,7 +41,11 @@ func (b *bfs) Run(budget uint64) {
 // expires.
 func (b *bfs) trial(bud *workloads.Budget) {
 	// Inter-trial reset is untimed, like the resets between gapbs trials.
-	b.dist.Fill(b.g.N, func(uint64) uint64 { return inf })
+	workloads.FillRuns(b.g.N, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = inf
+		}
+	}, b.dist)
 	src := b.rng.Intn(b.g.N)
 	b.dist.Set(src, 0)
 	b.queue.Set(0, src)

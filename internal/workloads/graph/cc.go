@@ -25,7 +25,11 @@ func newCC(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 }
 
 func (c *cc) reset() {
-	c.comp.Fill(c.g.N, func(i uint64) uint64 { return i })
+	workloads.FillRuns(c.g.N, func(s uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = s + uint64(j)
+		}
+	}, c.comp)
 }
 
 func (c *cc) Run(budget uint64) {

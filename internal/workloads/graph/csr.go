@@ -29,7 +29,11 @@ func loadCSR(m *machine.Machine, h hostCSR) (*CSR, error) {
 		return nil, err
 	}
 	off.PokeRun(0, h.off)
-	nbr.Fill(uint64(len(h.nbr)), func(i uint64) uint64 { return uint64(h.nbr[i]) })
+	workloads.FillRuns(uint64(len(h.nbr)), func(s uint64, runs [][]uint64) {
+		for j, v := range h.nbr[s : s+uint64(len(runs[0]))] {
+			runs[0][j] = uint64(v)
+		}
+	}, nbr)
 	return &CSR{m: m, N: h.n, M: uint64(len(h.nbr)), off: off, nbr: nbr}, nil
 }
 

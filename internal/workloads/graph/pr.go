@@ -35,7 +35,11 @@ func newPR(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 		return nil, err
 	}
 	init := math.Float64bits(1 / float64(g.N))
-	rank.Fill(g.N, func(uint64) uint64 { return init })
+	workloads.FillRuns(g.N, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = init
+		}
+	}, rank)
 	return &pr{m: m, g: g, rank: rank, next: next}, nil
 }
 

@@ -27,7 +27,11 @@ func newSSSP(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 		return nil, err
 	}
 	rng := workloads.NewRNG(g.M ^ 0x555)
-	weight.Fill(g.M, func(uint64) uint64 { return rng.Intn(255) + 1 })
+	workloads.FillRuns(g.M, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = rng.Intn(255) + 1
+		}
+	}, weight)
 	var arrs [3]workloads.Array
 	for i := range arrs {
 		if arrs[i], err = workloads.NewArray(m, g.N); err != nil {
@@ -49,8 +53,11 @@ func (s *sssp) Run(budget uint64) {
 }
 
 func (s *sssp) source(bud *workloads.Budget) {
-	workloads.FillRuns(s.g.N, func(uint64) workloads.Row { return workloads.Row{inf, 0} },
-		s.dist, s.inQ)
+	workloads.FillRuns(s.g.N, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j], runs[1][j] = inf, 0
+		}
+	}, s.dist, s.inQ)
 	src := s.rng.Intn(s.g.N)
 	s.dist.Set(src, 0)
 	s.queue.Set(0, src)

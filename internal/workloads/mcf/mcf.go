@@ -59,33 +59,33 @@ func newNetwork(m *machine.Machine, n uint64) (*network, error) {
 		}
 	}
 	// Random tree: parent[i] < i, so depths are well defined; node 0 is
-	// the root, all zeros. The arrays are filled one workloads.RunEnd run
-	// at a time, so their pages are first touched in the order of an
-	// element-by-element fill.
-	var parent, depth, pot [workloads.RunWords]uint64
-	for s := uint64(0); s < n; {
-		e := workloads.RunEnd(s, n, nw.parent, nw.depth, nw.pot)
-		for i := max(s, 1); i < e; i++ {
+	// the root, all zeros.
+	workloads.FillRuns(n, func(s uint64, runs [][]uint64) {
+		parent, depth, pot := runs[0], runs[1], runs[2]
+		for j := range parent {
+			i := s + uint64(j)
+			if i == 0 {
+				parent[j], depth[j], pot[j] = 0, 0, 0
+				continue
+			}
 			p := nw.rng.Intn(i)
 			var d uint64
 			if p >= s {
-				d = depth[p-s] // poked with this run, not yet in guest memory
+				d = depth[p-s] // staged in this run, not yet in guest memory
 			} else {
 				d = nw.depth.Peek(p)
 			}
-			parent[i-s] = p
-			depth[i-s] = d + 1
-			pot[i-s] = nw.rng.Intn(2000)
+			parent[j] = p
+			depth[j] = d + 1
+			pot[j] = nw.rng.Intn(2000)
 		}
-		nw.parent.PokeRun(s, parent[:e-s])
-		nw.depth.PokeRun(s, depth[:e-s])
-		nw.pot.PokeRun(s, pot[:e-s])
-		s = e
-	}
-	workloads.FillRuns(nw.a, func(uint64) workloads.Row {
-		tail := nw.rng.Intn(n)
-		head := nw.rng.Intn(n)
-		return workloads.Row{tail, head, nw.rng.Intn(2000)}
+	}, nw.parent, nw.depth, nw.pot)
+	workloads.FillRuns(nw.a, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = nw.rng.Intn(n) // tail
+			runs[1][j] = nw.rng.Intn(n) // head
+			runs[2][j] = nw.rng.Intn(2000)
+		}
 	}, nw.tail, nw.head, nw.cost)
 	return nw, nil
 }

@@ -102,13 +102,17 @@ func newBTree(m *machine.Machine, nkeys uint64) (workloads.Instance, error) {
 		return nil, err
 	}
 	// Node i's words are its keys then its children.
-	arr.Fill(uint64(len(nodes))*nodeWords, func(w uint64) uint64 {
-		n, j := &nodes[w/nodeWords], w%nodeWords
-		if j < btreeFanout {
-			return n.keys[j]
+	workloads.FillRuns(uint64(len(nodes))*nodeWords, func(s uint64, runs [][]uint64) {
+		for k := range runs[0] {
+			w := s + uint64(k)
+			n, j := &nodes[w/nodeWords], w%nodeWords
+			if j < btreeFanout {
+				runs[0][k] = n.keys[j]
+			} else {
+				runs[0][k] = n.children[j-btreeFanout]
+			}
 		}
-		return n.children[j-btreeFanout]
-	})
+	}, arr)
 	return &btree{m: m, nodes: arr, root: level[0], keys: keys, rng: rng}, nil
 }
 

@@ -30,7 +30,11 @@ func newGUPS(m *machine.Machine, logBytes uint64) (workloads.Instance, error) {
 	}
 	// HPCC initializes table[i] = i (untimed here, as in the timed-kernel
 	// methodology).
-	table.Fill(words, func(i uint64) uint64 { return i })
+	workloads.FillRuns(words, func(s uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = s + uint64(j)
+		}
+	}, table)
 	return &gups{m: m, table: table, x: 0x2545F4914F6CDD1D}, nil
 }
 

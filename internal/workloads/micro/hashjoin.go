@@ -68,12 +68,15 @@ func newHashJoin(m *machine.Machine, nbuild uint64) (workloads.Instance, error) 
 		h.next.Poke(i, h.buckets.Peek(b))
 		h.buckets.Poke(b, i+1)
 	}
-	h.probeKeys.Fill(probeFactor*nbuild, func(uint64) uint64 {
-		if h.rng.Float64() < matchShare {
-			return buildKeys[h.rng.Intn(nbuild)]
+	workloads.FillRuns(probeFactor*nbuild, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			if h.rng.Float64() < matchShare {
+				runs[0][j] = buildKeys[h.rng.Intn(nbuild)]
+			} else {
+				runs[0][j] = h.rng.Next() | 1<<63 // guaranteed miss half
+			}
 		}
-		return h.rng.Next() | 1<<63 // guaranteed miss half
-	})
+	}, h.probeKeys)
 	return h, nil
 }
 

@@ -52,7 +52,11 @@ func newCluster(m *machine.Machine, npoints uint64) (*cluster, error) {
 	if c.centers, err = workloads.NewArray(m, maxCenters*dim); err != nil {
 		return nil, err
 	}
-	c.points.Fill(npoints*dim, func(uint64) uint64 { return math.Float64bits(c.rng.Float64()) })
+	workloads.FillRuns(npoints*dim, func(_ uint64, runs [][]uint64) {
+		for j := range runs[0] {
+			runs[0][j] = math.Float64bits(c.rng.Float64())
+		}
+	}, c.points)
 	// Seed the first center with point 0.
 	for d := uint64(0); d < dim; d++ {
 		c.centers.Poke(d, c.points.Peek(d))
