@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"atscale/internal/workloads"
@@ -22,44 +23,114 @@ const (
 	kronC = 0.19
 )
 
-// genURand generates 2^scale vertices with degree*2^scale uniform random
-// edges, the gapbs "-u" generator. The result is a flat list of endpoint
-// pairs: edge i is (pairs[2i], pairs[2i+1]).
-func genURand(scale uint64, rng *workloads.RNG) []uint32 {
-	n := uint64(1) << scale
-	pairs := make([]uint32, 2*degree*n)
-	for i := range pairs {
-		pairs[i] = uint32(rng.Intn(n))
+// inHalves runs the two halves of one build step, step(s, 0) and
+// step(s, 1), concurrently and returns once both are done. Every step of
+// a graph input's build is split this way, always in two: each half
+// writes only its own part of the step's output, so the input is
+// bit-identical to a one-goroutine build however the halves interleave,
+// and under GOMAXPROCS=1 they simply run one after the other.
+//
+// A step reaches its data only through s, the build's state, which
+// embeds halves: the step is then a static function, and a call
+// allocates nothing but the second half's goroutine closure.
+func inHalves[S interface{ group() *sync.WaitGroup }](s S, step func(s S, h int)) {
+	if halvesInSequence != nil {
+		for _, h := range halvesInSequence {
+			step(s, h)
+		}
+		return
 	}
-	return pairs
+	wg := s.group()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		step(s, 1)
+	}()
+	step(s, 0)
+	wg.Wait()
+}
+
+// halves is embedded in a build's state to give inHalves its wait group.
+type halves struct{ wg sync.WaitGroup }
+
+func (hv *halves) group() *sync.WaitGroup { return &hv.wg }
+
+// halvesInSequence, when a test sets it, makes inHalves run the halves
+// one after the other in the order it lists instead.
+var halvesInSequence []int
+
+// split returns half h of [0, n): [0, n/2) for h 0, [n/2, n) for h 1.
+func split(n, h int) (lo, hi int) {
+	if h == 0 {
+		return 0, n / 2
+	}
+	return n / 2, n
+}
+
+// genState is a generator's build state: the stream's start and the
+// endpoint pairs being drawn.
+type genState struct {
+	halves
+	scale uint64
+	rng   workloads.RNG
+	pairs []uint32
+}
+
+// generateHalves allocates degree*2^scale endpoint pairs and fills them
+// with step, run in halves.
+func generateHalves(scale uint64, rng workloads.RNG, step func(s *genState, h int)) []uint32 {
+	s := &genState{scale: scale, rng: rng, pairs: make([]uint32, 2*degree<<scale)}
+	inHalves(s, step)
+	return s.pairs
+}
+
+// genURand generates 2^scale vertices with degree*2^scale uniform random
+// edges, the gapbs "-u" generator, from the stream that starts at rng.
+// The result is a flat list of endpoint pairs: edge i is (pairs[2i],
+// pairs[2i+1]). Each endpoint takes one draw, so the second half starts
+// its copy of the stream len/2 draws in.
+func genURand(scale uint64, rng workloads.RNG) []uint32 {
+	return generateHalves(scale, rng, func(s *genState, h int) {
+		n, pairs := uint64(1)<<s.scale, s.pairs
+		lo, hi := split(len(pairs), h)
+		r := s.rng
+		r.Skip(uint64(lo))
+		for i := lo; i < hi; i++ {
+			pairs[i] = uint32(r.Intn(n))
+		}
+	})
 }
 
 // genKron generates an R-MAT/Kronecker graph (the gapbs "-g" generator):
 // each edge recursively descends the 2x2 initiator matrix, yielding a
 // skewed, scale-free degree distribution. It returns endpoint pairs like
-// genURand.
+// genURand. Each edge takes scale draws, so the second half starts its
+// copy of the stream at edge E/2, E/2·scale draws in.
 //
 // Per bit, one draw picks a quadrant against the initiator's cumulative
 // thresholds, compared as integers (see below): the u bit is set at or
 // above kronA+kronB, and the v bit in the B and D quadrants, which is
 // the parity of the three thresholds reached.
-func genKron(scale uint64, rng *workloads.RNG) []uint32 {
-	tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
-	// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.
-	lt := func(k, t uint64) uint32 { return uint32((k - t) >> 63) }
-	n := uint64(1) << scale
-	pairs := make([]uint32, 2*degree*n)
-	for i := 0; i < len(pairs); i += 2 {
-		var u, v uint32
-		for bit := uint64(0); bit < scale; bit++ {
-			k := rng.Next() >> 11
-			a, ab, abc := lt(k, tA), lt(k, tAB), lt(k, tABC)
-			u |= (ab ^ 1) << bit
-			v |= (a ^ ab ^ abc ^ 1) << bit
+func genKron(scale uint64, rng workloads.RNG) []uint32 {
+	return generateHalves(scale, rng, func(s *genState, h int) {
+		tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
+		// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.
+		lt := func(k, t uint64) uint32 { return uint32((k - t) >> 63) }
+		scale, pairs := s.scale, s.pairs
+		lo, hi := split(len(pairs)/2, h)
+		r := s.rng
+		r.Skip(uint64(lo) * scale)
+		for e := lo; e < hi; e++ {
+			var u, v uint32
+			for bit := uint64(0); bit < scale; bit++ {
+				k := r.Next() >> 11
+				a, ab, abc := lt(k, tA), lt(k, tAB), lt(k, tABC)
+				u |= (ab ^ 1) << bit
+				v |= (a ^ ab ^ abc ^ 1) << bit
+			}
+			pairs[2*e], pairs[2*e+1] = u, v
 		}
-		pairs[i], pairs[i+1] = u, v
-	}
-	return pairs
+	})
 }
 
 // below returns the integer threshold for an R-MAT quadrant boundary t:
@@ -75,60 +146,168 @@ type hostCSR struct {
 	nbr []uint32 // off[n]
 }
 
+// csrState is buildHostCSR's build state.
+type csrState struct {
+	halves
+	n     uint64
+	pairs []uint32 // the input; the result's nbr once the rows are scattered
+	off   []uint64
+	rows  []uint32 // the unsorted rows
+	// fwd and bwd are the two halves' per-vertex counts, then their
+	// cursors: fwd moves forward from each row's start, bwd backward
+	// from its end.
+	fwd, bwd []uint32
+	mid      uint64 // the first vertex of the second half
+	start    uint64 // off[mid] before the dedupe
+}
+
 // buildHostCSR symmetrizes the endpoint pairs (gapbs treats these graphs
 // as undirected), drops self-loops, sorts each adjacency list, and
 // removes duplicate edges. It consumes pairs: the result's neighbours
-// live in its buffer.
+// live in its buffer. A trailing odd slot is ignored.
 //
 // No comparison sort is needed. The symmetrized multigraph is its own
 // transpose, so scattering the unsorted rows by ascending source lists
 // each vertex's neighbours in ascending order.
+//
+// Each step runs in two halves. In both scatters the first half fills
+// every row forward from its start, and the second walks its part of
+// the input in reverse and fills every row backward from its end, so
+// the two meet exactly where a serial scatter's one cursor would have
+// passed. The row scatter splits the pairs in two. The transpose and the
+// dedupe split the vertices where off reaches half the entries, not at
+// n/2, because kron degrees are skewed toward low IDs. The cursors are
+// uint32, so an input must stay below 2^32 endpoint slots.
 func buildHostCSR(n uint64, pairs []uint32) hostCSR {
-	off := make([]uint64, n+1)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if u, v := pairs[i], pairs[i+1]; u != v {
-			off[u+1]++
-			off[v+1]++
-		}
+	if uint64(len(pairs)) >= 1<<32 {
+		panic(fmt.Sprintf("graph: %d endpoint slots reach 2^32, beyond the CSR build's uint32 cursors", len(pairs)))
 	}
-	for i := uint64(1); i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	rows := make([]uint32, off[n])
-	pos := make([]uint64, n)
-	copy(pos, off)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if u, v := pairs[i], pairs[i+1]; u != v {
-			rows[pos[u]] = v
-			pos[u]++
-			rows[pos[v]] = u
-			pos[v]++
-		}
-	}
-	// The pairs are dead: the sorted rows take their buffer.
-	nbr := pairs[:off[n]]
-	copy(pos, off)
+	cur := make([]uint32, 2*n)
+	s := &csrState{n: n, pairs: pairs, fwd: cur[:n:n], bwd: cur[n:]}
+	inHalves(s, (*csrState).count)
+	s.off = make([]uint64, n+1)
 	for u := uint64(0); u < n; u++ {
-		for _, v := range rows[off[u]:off[u+1]] {
-			nbr[pos[v]] = uint32(u)
-			pos[v]++
+		s.off[u+1] = s.off[u] + uint64(s.fwd[u]) + uint64(s.bwd[u])
+	}
+	s.cursors()
+	s.rows = make([]uint32, s.off[n])
+	inHalves(s, (*csrState).scatterRows)
+	s.cursors()
+	mid, _ := slices.BinarySearch(s.off, s.off[n]/2)
+	s.mid, s.start = uint64(mid), s.off[mid]
+	inHalves(s, (*csrState).transpose)
+	inHalves(s, (*csrState).dedupe)
+	// The first half's rows end at off[mid]; the second's start at start.
+	off, nbr := s.off, s.pairs
+	gap := s.start - off[mid]
+	copy(nbr[off[mid]:], nbr[s.start:off[n]])
+	for u := s.mid + 1; u <= n; u++ {
+		off[u] -= gap
+	}
+	return hostCSR{n: n, off: off, nbr: nbr[:off[n]]}
+}
+
+// cursors points fwd at every row's start and bwd at its end.
+func (s *csrState) cursors() {
+	for u := uint64(0); u < s.n; u++ {
+		s.fwd[u], s.bwd[u] = uint32(s.off[u]), uint32(s.off[u+1])
+	}
+}
+
+// count counts half h's entries per vertex into fwd or bwd.
+func (s *csrState) count(h int) {
+	pairs, deg := s.pairs, s.fwd
+	if h == 1 {
+		deg = s.bwd
+	}
+	lo, hi := split(len(pairs)/2, h)
+	for i := lo; i < hi; i++ {
+		if u, v := pairs[2*i], pairs[2*i+1]; u != v {
+			deg[u]++
+			deg[v]++
 		}
 	}
-	// Dedupe each sorted row in place, compacting off as it goes.
-	w, lo := uint64(0), uint64(0)
-	for u := uint64(0); u < n; u++ {
+}
+
+// scatterRows writes half h's pairs into the unsorted rows, the second
+// half in reverse.
+func (s *csrState) scatterRows(h int) {
+	pairs, rows, fwd, bwd := s.pairs, s.rows, s.fwd, s.bwd
+	lo, hi := split(len(pairs)/2, h)
+	if h == 0 {
+		for i := lo; i < hi; i++ {
+			if u, v := pairs[2*i], pairs[2*i+1]; u != v {
+				rows[fwd[u]] = v
+				fwd[u]++
+				rows[fwd[v]] = u
+				fwd[v]++
+			}
+		}
+		return
+	}
+	for i := hi - 1; i >= lo; i-- {
+		if u, v := pairs[2*i], pairs[2*i+1]; u != v {
+			bwd[v]--
+			rows[bwd[v]] = u
+			bwd[u]--
+			rows[bwd[u]] = v
+		}
+	}
+}
+
+// transpose scatters the rows of half h's sources into the pair buffer,
+// which is dead by then: the first half's sources ascend, the second's
+// descend.
+func (s *csrState) transpose(h int) {
+	off, rows, nbr, fwd, bwd := s.off, s.rows, s.pairs, s.fwd, s.bwd
+	if h == 0 {
+		for u := uint64(0); u < s.mid; u++ {
+			for _, v := range rows[off[u]:off[u+1]] {
+				nbr[fwd[v]] = uint32(u)
+				fwd[v]++
+			}
+		}
+		return
+	}
+	for u := s.n; u > s.mid; u-- {
+		for _, v := range rows[off[u-1]:off[u]] {
+			bwd[v]--
+			nbr[bwd[v]] = uint32(u - 1)
+		}
+	}
+}
+
+// dedupe drops repeated neighbours from half h's sorted rows in place,
+// packing them toward the half's first entry and setting each row's new
+// end in off. The halves read and write disjoint parts of off: the
+// second half starts from start because the first rewrites off[mid].
+func (s *csrState) dedupe(h int) {
+	off, nbr := s.off, s.pairs
+	a, b, lo := uint64(0), s.mid, uint64(0)
+	if h == 1 {
+		a, b, lo = s.mid, s.n, s.start
+	}
+	w := lo
+	for u := a; u < b; u++ {
 		hi := off[u+1]
-		off[u] = w
 		for e := lo; e < hi; e++ {
 			if e == lo || nbr[e] != nbr[e-1] {
 				nbr[w] = nbr[e]
 				w++
 			}
 		}
+		off[u+1] = w
 		lo = hi
 	}
-	off[n] = w
-	return hostCSR{n: n, off: off, nbr: nbr[:w]}
+}
+
+// relabelState is relabelByDegree's build state.
+type relabelState struct {
+	halves
+	g, out       hostCSR
+	newID, order []uint32
+	bwd          []uint32 // the second half's cursors
+	mid          int      // the first new ID of the second half
 }
 
 // relabelByDegree returns a copy of g with vertices renumbered by
@@ -136,6 +315,10 @@ func buildHostCSR(n uint64, pairs []uint32) hostCSR {
 // optimization the paper credits for tc-kron's graceful scaling (§V-A).
 // The order is a counting sort on degree, and the rows are a scatter of
 // g in new-ID order, which leaves each one sorted as buildHostCSR does.
+// The scatter runs in halves like buildHostCSR's transpose, split at
+// the new ID where out.off reaches half the entries: the first half
+// uses out.off itself as its forward cursors, the second a uint32 array
+// of backward ones.
 func (g hostCSR) relabelByDegree() hostCSR {
 	deg := func(u uint64) uint64 { return g.off[u+1] - g.off[u] }
 	var maxDeg uint64
@@ -161,19 +344,46 @@ func (g hostCSR) relabelByDegree() hostCSR {
 		newID[u], order[id] = uint32(id), uint32(u)
 	}
 	out := hostCSR{n: g.n, off: make([]uint64, g.n+1), nbr: make([]uint32, len(g.nbr))}
-	for id, old := range order {
-		out.off[id+1] = out.off[id] + deg(uint64(old))
-	}
-	for id, old := range order {
-		for _, v := range g.nbr[g.off[old]:g.off[old+1]] {
-			out.nbr[out.off[newID[v]]] = uint32(id)
-			out.off[newID[v]]++
+	offsets := func() {
+		out.off[0] = 0
+		for id, old := range order {
+			out.off[id+1] = out.off[id] + deg(uint64(old))
 		}
 	}
-	// Each row's cursor stopped at the next row's start.
-	copy(out.off[1:], out.off[:g.n])
-	out.off[0] = 0
+	offsets()
+	mid, _ := slices.BinarySearch(out.off, out.off[g.n]/2)
+	bwd := make([]uint32, g.n)
+	for id := range bwd {
+		bwd[id] = uint32(out.off[id+1])
+	}
+	s := &relabelState{g: g, out: out, newID: newID, order: order, bwd: bwd, mid: mid}
+	inHalves(s, (*relabelState).scatter)
+	// The forward cursors stopped where the backward ones did, mid-row.
+	offsets()
 	return out
+}
+
+// scatter writes the rows of half h's new IDs, the second half's in
+// descending order.
+func (s *relabelState) scatter(h int) {
+	g, out, newID, order := s.g, s.out, s.newID, s.order
+	if h == 0 {
+		for id, old := range order[:s.mid] {
+			for _, v := range g.nbr[g.off[old]:g.off[old+1]] {
+				out.nbr[out.off[newID[v]]] = uint32(id)
+				out.off[newID[v]]++
+			}
+		}
+		return
+	}
+	bwd := s.bwd
+	for id := len(order); id > s.mid; id-- {
+		old := order[id-1]
+		for _, v := range g.nbr[g.off[old]:g.off[old+1]] {
+			bwd[newID[v]]--
+			out.nbr[bwd[newID[v]]] = uint32(id - 1)
+		}
+	}
 }
 
 // genCache memoizes host CSRs: the overhead methodology rebuilds the same
@@ -231,9 +441,9 @@ func generateUncached(gen string, scale uint64) hostCSR {
 	var pairs []uint32
 	switch gen {
 	case "urand":
-		pairs = genURand(scale, rng)
+		pairs = genURand(scale, *rng)
 	case "kron":
-		pairs = genKron(scale, rng)
+		pairs = genKron(scale, *rng)
 	default:
 		panic("graph: unknown generator " + gen)
 	}

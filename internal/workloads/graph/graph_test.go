@@ -268,14 +268,19 @@ func TestWriteEdgeListOncePerEdge(t *testing.T) {
 }
 
 // BenchmarkGenerate times building a graph input from scratch: edge
-// generation, the CSR build and the degree relabel tc runs on.
+// generation, the CSR build and the degree relabel tc runs on, at scale
+// 16 and at the benchmark's rungs (kron-18 for pr and bc, urand-17 for
+// tc and bfs). Each step runs in two halves, so compare -cpu 1 and 2.
 func BenchmarkGenerate(b *testing.B) {
-	for _, gen := range []string{"kron", "urand"} {
-		b.Run(fmt.Sprintf("%s-16", gen), func(b *testing.B) {
+	for _, in := range []struct {
+		gen   string
+		scale uint64
+	}{{"kron", 16}, {"urand", 16}, {"kron", 18}, {"urand", 17}} {
+		b.Run(fmt.Sprintf("%s-%d", in.gen, in.scale), func(b *testing.B) {
 			for b.Loop() {
-				generateUncached(gen, 16).relabelByDegree()
+				generateUncached(in.gen, in.scale).relabelByDegree()
 			}
-			edges := float64(degree<<16) * float64(b.N)
+			edges := float64(uint64(degree)<<in.scale) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
 		})
 	}

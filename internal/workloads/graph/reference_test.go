@@ -170,6 +170,27 @@ func TestGeneratorsMatchReference(t *testing.T) {
 	}
 }
 
+// TestHalvesMatchReference runs every build step's two halves one after
+// the other, in both orders, and concurrently, and requires each input
+// and its relabel to equal the reference build: the halves must write
+// disjoint parts of the output and meet exactly.
+func TestHalvesMatchReference(t *testing.T) {
+	t.Cleanup(func() { halvesInSequence = nil })
+	for _, gen := range []string{"urand", "kron"} {
+		for scale := uint64(1); scale <= 16; scale++ {
+			want := refGenerate(gen, scale)
+			wantRelabel := refRelabelByDegree(want)
+			for _, seq := range [][]int{{0, 1}, {1, 0}, nil} {
+				halvesInSequence = seq
+				what := fmt.Sprintf("%s-%d halves %v", gen, scale, seq)
+				got := generateUncached(gen, scale)
+				sameCSR(t, what, got, want)
+				sameCSR(t, what+" relabelled", got.relabelByDegree(), wantRelabel)
+			}
+		}
+	}
+}
+
 // FuzzHostCSRMatchesReference builds the CSR and its relabel from
 // arbitrary small pair lists with both builders.
 func FuzzHostCSRMatchesReference(f *testing.F) {

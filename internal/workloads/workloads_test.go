@@ -66,6 +66,27 @@ func TestRNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestRNGSkipMatchesNext requires Skip(k) to leave a generator where k
+// calls to Next would, from a few starting points.
+func TestRNGSkipMatchesNext(t *testing.T) {
+	for _, seed := range []uint64{0, 5, 1 << 63} {
+		for _, k := range []uint64{0, 1, 2, 1000} {
+			a, b := NewRNG(seed), NewRNG(seed)
+			a.Next() // start mid-stream
+			b.Next()
+			for range k {
+				a.Next()
+			}
+			b.Skip(k)
+			for i := 0; i < 3; i++ {
+				if x, y := a.Next(), b.Next(); x != y {
+					t.Fatalf("seed %d: draw %d after Skip(%d) = %#x, after %d Next calls %#x", seed, i, k, y, k, x)
+				}
+			}
+		}
+	}
+}
+
 func TestRNGRanges(t *testing.T) {
 	r := NewRNG(0) // zero seed remapped
 	for i := 0; i < 1000; i++ {
