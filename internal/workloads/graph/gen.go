@@ -113,24 +113,30 @@ func genURand(scale uint64, rng workloads.RNG) []uint32 {
 // the parity of the three thresholds reached.
 func genKron(scale uint64, rng workloads.RNG) []uint32 {
 	return generateHalves(scale, rng, func(s *genState, h int) {
-		tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
-		// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.
-		lt := func(k, t uint64) uint32 { return uint32((k - t) >> 63) }
-		scale, pairs := s.scale, s.pairs
-		lo, hi := split(len(pairs)/2, h)
+		lo, hi := split(len(s.pairs)/2, h)
 		r := s.rng
-		r.Skip(uint64(lo) * scale)
-		for e := lo; e < hi; e++ {
-			var u, v uint32
-			for bit := uint64(0); bit < scale; bit++ {
-				k := r.Next() >> 11
-				a, ab, abc := lt(k, tA), lt(k, tAB), lt(k, tABC)
-				u |= (ab ^ 1) << bit
-				v |= (a ^ ab ^ abc ^ 1) << bit
-			}
-			pairs[2*e], pairs[2*e+1] = u, v
-		}
+		r.Skip(uint64(lo) * s.scale)
+		kronEdges(s.pairs[2*lo:2*hi], s.scale, &r)
 	})
+}
+
+// kronEdges fills pairs with whole R-MAT edges drawn from rng. It is a
+// function of its own so that the draw loop, with everything it keeps
+// live, is compiled apart from the half's set-up.
+func kronEdges(pairs []uint32, scale uint64, rng *workloads.RNG) {
+	tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
+	// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.
+	lt := func(k, t uint64) uint32 { return uint32((k - t) >> 63) }
+	for i := 0; i+1 < len(pairs); i += 2 {
+		var u, v uint32
+		for bit := uint64(0); bit < scale; bit++ {
+			k := rng.Next() >> 11
+			a, ab, abc := lt(k, tA), lt(k, tAB), lt(k, tABC)
+			u |= (ab ^ 1) << bit
+			v |= (a ^ ab ^ abc ^ 1) << bit
+		}
+		pairs[i], pairs[i+1] = u, v
+	}
 }
 
 // below returns the integer threshold for an R-MAT quadrant boundary t:
