@@ -121,8 +121,9 @@ func genKron(scale uint64, rng workloads.RNG) []uint32 {
 }
 
 // kronEdges fills pairs with whole R-MAT edges drawn from rng. It is a
-// function of its own so that the draw loop, with everything it keeps
-// live, is compiled apart from the half's set-up.
+// function of its own because, compiled inside the half's closure, the
+// draw loop ran out of registers and spilled the stream state to the
+// stack on every draw.
 func kronEdges(pairs []uint32, scale uint64, rng *workloads.RNG) {
 	tA, tAB, tABC := below(kronA), below(kronA+kronB), below(kronA+kronB+kronC)
 	// lt is 1 when k < t and 0 otherwise, for k and t below 2^53.

@@ -271,13 +271,15 @@ func TestWriteEdgeListOncePerEdge(t *testing.T) {
 // generation, the CSR build and the degree relabel tc runs on, at scale
 // 16 and at the benchmark's rungs (kron-18 for pr and bc, urand-17 for
 // tc and bfs). Each step runs in two halves, so compare -cpu 1 and 2.
+// It loops on b.N, not b.Loop: under go1.24 a b.Loop benchmark runs to
+// completion in its first call, before a -cpu value takes effect.
 func BenchmarkGenerate(b *testing.B) {
 	for _, in := range []struct {
 		gen   string
 		scale uint64
 	}{{"kron", 16}, {"urand", 16}, {"kron", 18}, {"urand", 17}} {
 		b.Run(fmt.Sprintf("%s-%d", in.gen, in.scale), func(b *testing.B) {
-			for b.Loop() {
+			for range b.N {
 				generateUncached(in.gen, in.scale).relabelByDegree()
 			}
 			edges := float64(uint64(degree)<<in.scale) * float64(b.N)
