@@ -1,6 +1,7 @@
 // Package resetdiscipline enforces the pool reuse contract: any type
-// that offers a Reset/Renew method (Flush counts when neither exists)
-// must reinitialize every field it mutates, or say out loud why not.
+// that offers a Reset, Renew or Reconfigure method (Flush counts when
+// none exists) must reinitialize every field it mutates, or say out loud
+// why not.
 //
 // The repo leans hard on object reuse — machinePool recycles whole
 // simulated machines, walkers and TLBs are Reset between campaign
@@ -45,7 +46,7 @@ import (
 // Analyzer is the resetdiscipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "resetdiscipline",
-	Doc: "Reset/Renew methods must reinitialize every mutable field\n\n" +
+	Doc: "Reset/Renew/Reconfigure methods must reinitialize every mutable field\n\n" +
 		"Pooled objects (machines, walkers, TLBs, perf groups) are reused across\n" +
 		"tenants and sweeps; a field Reset misses leaks state between runs and\n" +
 		"skews counters silently. Every field a method mutates must be assigned\n" +
@@ -158,7 +159,7 @@ func checkType(pass *analysis.Pass, td *typeDecl) {
 	if len(entries) == 0 {
 		for _, fd := range td.fields {
 			if fd.noreset != nil {
-				pass.Reportf(fd.noreset.Pos, "unused //atlint:noreset on %s.%s: %s has no Reset/Renew method", td.name, fd.name, td.name)
+				pass.Reportf(fd.noreset.Pos, "unused //atlint:noreset on %s.%s: %s has no Reset/Renew/Reconfigure method", td.name, fd.name, td.name)
 			}
 		}
 		return
@@ -230,13 +231,15 @@ func checkType(pass *analysis.Pass, td *typeDecl) {
 	}
 }
 
-// entryMethods picks the reset entry points: Reset and Renew (any
-// casing), falling back to Flush when the type has neither.
+// entryMethods picks the reset entry points: Reset, Renew and
+// Reconfigure (any casing), falling back to Flush when the type has none
+// of them.
 func entryMethods(td *typeDecl) []string {
 	var entries, flush []string
 	for _, m := range td.order {
 		switch {
-		case strings.EqualFold(m, "Reset") || strings.EqualFold(m, "Renew"):
+		case strings.EqualFold(m, "Reset") || strings.EqualFold(m, "Renew") ||
+			strings.EqualFold(m, "Reconfigure"):
 			entries = append(entries, m)
 		case strings.EqualFold(m, "Flush"):
 			flush = append(flush, m)

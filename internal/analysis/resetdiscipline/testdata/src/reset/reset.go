@@ -2,12 +2,12 @@
 // assignment, clear(), helper self-calls, field-rooted method calls,
 // slice aliases, and embedded delegation; constructor immutability;
 // used, stale, and misplaced //atlint:noreset exemptions; and the
-// Flush fallback entry point.
+// Reconfigure and Flush-fallback entry points.
 package reset
 
 import "sync"
 
-// TLB has no Reset/Renew, so Flush is the entry method.
+// TLB has no Reset/Renew/Reconfigure, so Flush is the entry method.
 type TLB struct {
 	entries map[uint64]uint64
 	hits    uint64
@@ -103,9 +103,19 @@ func (s *Stale) Reset()    { s.count = 0 }
 func (s *Stale) Add(n int) { s.count += n }
 func (s *Stale) Cap() int  { return s.limit }
 
+// Pool is rebuilt for a new shape through Reconfigure, which must cover
+// what its other methods mutate.
+type Pool struct {
+	shape int
+	used  int // want "field Pool.used is mutated .by Take. but not reinitialized by Reconfigure"
+}
+
+func (p *Pool) Reconfigure(shape int) { p.shape = shape }
+func (p *Pool) Take()                 { p.used++ }
+
 // NoPool is never pooled: its exemption is dead weight.
 type NoPool struct {
-	//atlint:noreset kept warm across calls // want "unused .*noreset on NoPool.keep: NoPool has no Reset/Renew method"
+	//atlint:noreset kept warm across calls // want "unused .*noreset on NoPool.keep: NoPool has no Reset/Renew/Reconfigure method"
 	keep int
 }
 

@@ -34,9 +34,9 @@ const flatgoldDir = "testdata/flatgold"
 // deliberately crosses every walker/page-table/policy dimension the
 // refactor touches: the radix walker at 4/5 levels, all three page-size
 // policies, hashed page tables, nested paging (4 KB guest pages over 4 KB
-// and 2 MB EPT leaves, 2 MB guest pages over 1 GB EPT leaves), and
-// WCPI-guided promotion (which exercises machine-internal state the
-// quiet path caches).
+// and 2 MB EPT leaves, 2 MB guest pages over 1 GB EPT leaves), mitosis
+// replicas on two NUMA nodes, and WCPI-guided promotion (which exercises
+// machine-internal state the quiet path caches).
 type flatgoldCase struct {
 	name     string
 	workload string
@@ -49,19 +49,30 @@ type flatgoldCase struct {
 	promotes bool
 }
 
+// flatgoldCases lists the matrix so that every case's machine config
+// differs from the one before it, the last case's from the first's: the
+// reconfigured-* pass runs each case on the machine its predecessor
+// parked. The order crosses hashed to radix, nested to native and two
+// NUMA nodes to one.
 func flatgoldCases() []flatgoldCase {
 	return []flatgoldCase{
 		{name: "native-4k", workload: "gups-rand", ps: arch.Page4K},
-		{name: "native-2m", workload: "gups-rand", ps: arch.Page2M},
-		{name: "native-1g", workload: "uniform-synth", ps: arch.Page1G},
-		{name: "lvl5", workload: "stride-synth", ps: arch.Page4K,
-			mutate: func(c *RunConfig) { c.System.PagingLevels = 5 }},
 		{name: "hashed", workload: "mcf-rand", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.System.PageTable = "hashed" }},
+		{name: "native-2m", workload: "gups-rand", ps: arch.Page2M},
+		{name: "lvl5", workload: "stride-synth", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.System.PagingLevels = 5 }},
+		{name: "native-1g", workload: "uniform-synth", ps: arch.Page1G},
 		{name: "virt-ept4k", workload: "gups-rand", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page4K) }},
+		{name: "promo", workload: "gups-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.EnablePromotion = true }},
 		{name: "virt-ept2m", workload: "zipf-synth", ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.System = virtualize(c.System, arch.Page2M) }},
+		// "promo" never collapses a block; this footprint and budget do.
+		{name: "promo-live", workload: "gups-rand", param: 26, ps: arch.Page4K,
+			mutate:   func(c *RunConfig) { c.EnablePromotion = true; c.Budget = 100_000 },
+			promotes: true},
 		// The starved 2 MB TLBs (no STLB) make most accesses to the 16 MB
 		// footprint walk, so the warm guest PSCs, nTLB and EPT PSCs all
 		// serve walks here.
@@ -72,68 +83,69 @@ func flatgoldCases() []flatgoldCase {
 				c.System.L1TLB[arch.Page2M] = arch.TLBGeometry{Entries: 2, Ways: 2}
 				c.System.STLB = arch.TLBGeometry{}
 			}},
-		{name: "promo", workload: "gups-rand", ps: arch.Page4K,
-			mutate: func(c *RunConfig) { c.EnablePromotion = true }},
-		// "promo" never collapses a block; this footprint and budget do.
-		{name: "promo-live", workload: "gups-rand", param: 26, ps: arch.Page4K,
-			mutate:   func(c *RunConfig) { c.EnablePromotion = true; c.Budget = 100_000 },
-			promotes: true},
 		{name: "sampling", workload: "stride-synth", ps: arch.Page4K,
 			mutate: func(c *RunConfig) {
 				c.SamplePeriod = refuteSamplePeriod
 				c.SampleBuffer = refuteSampleRing
 			}},
+		// The thread migrates between the nodes six times within the
+		// budget, so both replica walk counters are live.
+		{name: "mitosis-numa2", workload: "gups-rand", ps: arch.Page4K,
+			mutate: func(c *RunConfig) {
+				c.System.Scheme = "mitosis"
+				c.System.NUMA.Nodes = 2
+				c.System.NUMA.MigrateEvery = 10_000
+			}},
 	}
 }
 
-// flatgoldCounters renders one case's full result as a stable text
-// dump: the unit name plus every counter (zeros included, so event
-// reordering or a newly-missing increment cannot hide).
-//
-// With a pool, a dirtying unit runs first and the case must then run on
-// the machine it parked, renewed.
-func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool) string {
+// flatgoldRun runs case c's unit, on pool when it is not nil.
+func flatgoldRun(t *testing.T, c flatgoldCase, pool *machinePool) (RunConfig, *workloads.Spec, uint64, RunResult) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Budget = 60_000
 	if c.mutate != nil {
 		c.mutate(&cfg)
 	}
+	cfg.machines = pool
 	spec := mustSpec(t, c.workload)
 	param := c.param
 	if param == 0 {
 		param = spec.Ladder[0]
 	}
-	var parked []*machine.Machine
-	if pool != nil {
-		dirty := cfg
-		dirty.machines = pool
-		dirtyPS := arch.Page2M
-		if c.ps == arch.Page2M {
-			dirtyPS = arch.Page4K
-		}
-		// Hashed tables back 4 KB heaps only, and a nested machine's
-		// config records its guest policy, so those dirty under
-		// another seed instead.
-		if cfg.System.PageTable == "hashed" || cfg.System.Virt.Enabled {
-			dirtyPS, dirty.Seed = c.ps, cfg.Seed+1
-		}
-		if _, err := Run(&dirty, spec, spec.Ladder[0], dirtyPS); err != nil {
-			t.Fatalf("flatgold %s dirtying unit: %v", c.name, err)
-		}
-		cfg.machines = pool
-		parked = pooled(pool)
-	}
 	r, err := Run(&cfg, spec, param, c.ps)
 	if err != nil {
 		t.Fatalf("flatgold %s: %v", c.name, err)
 	}
+	return cfg, spec, param, r
+}
+
+// flatgoldCounters renders one case's full result as a stable text
+// dump: the unit name plus every counter (zeros included, so event
+// reordering or a newly-missing increment cannot hide).
+//
+// With a pool, the case must run on the one machine the pool holds, and
+// reconfigure says whether that machine must first change config.
+func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool, reconfigure bool) string {
+	t.Helper()
+	var parked []*machine.Machine
+	var before arch.SystemConfig
+	if pool != nil {
+		if parked = pooled(pool); len(parked) == 1 {
+			before = *parked[0].Config()
+		}
+	}
+	cfg, spec, param, r := flatgoldRun(t, c, pool)
 	if c.promotes && r.Counters.Get(perf.THPPromotions) == 0 {
 		t.Errorf("flatgold %s: no block was promoted: the case checks nothing of promotion", c.name)
 	}
 	if pool != nil {
-		if after := pooled(pool); len(parked) != 1 || len(after) != 1 || after[0] != parked[0] {
-			t.Fatalf("flatgold %s: the unit did not run on the renewed machine", c.name)
+		after := pooled(pool)
+		if len(parked) != 1 || len(after) != 1 || after[0] != parked[0] {
+			t.Fatalf("flatgold %s: the unit did not run on the pooled machine", c.name)
+		}
+		if changed := *after[0].Config() != before; reconfigure && !changed {
+			t.Fatalf("flatgold %s: the pooled machine already had the unit's config", c.name)
 		}
 	}
 	var b strings.Builder
@@ -143,6 +155,34 @@ func flatgoldCounters(t *testing.T, c flatgoldCase, pool *machinePool) string {
 		len(r.Samples), r.SampleDropped, r.SampleDroppedWeight)
 	b.WriteString(r.Counters.Format())
 	return b.String()
+}
+
+// flatgoldDirty parks on pool a machine of case c's own config that ran
+// a unit under another page policy or, where the machine's config pins
+// the policy, another seed: hashed tables back 4 KB heaps only, and a
+// nested machine's config records its guest policy.
+func flatgoldDirty(t *testing.T, c flatgoldCase, pool *machinePool) {
+	t.Helper()
+	probe := testConfig()
+	if c.mutate != nil {
+		c.mutate(&probe)
+	}
+	dirty := c
+	dirty.param = 0
+	switch {
+	case probe.System.PageTable == "hashed" || probe.System.Virt.Enabled:
+		dirty.mutate = func(cfg *RunConfig) {
+			if c.mutate != nil {
+				c.mutate(cfg)
+			}
+			cfg.Seed++
+		}
+	case c.ps == arch.Page2M:
+		dirty.ps = arch.Page4K
+	default:
+		dirty.ps = arch.Page2M
+	}
+	flatgoldRun(t, dirty, pool)
 }
 
 // flatgoldTimeline exports the traced wcpi campaign (the same campaign
@@ -209,17 +249,29 @@ func flatgoldCompare(t *testing.T, name string, got []byte) {
 // configuration matrix.
 // The renewed-* pass runs every case again on a pooled machine that
 // first ran a dirtying unit of the same config under another page policy
-// (or, where the machine's config pins the policy, another seed), and
-// holds it to the same golden.
+// (or, where the machine's config pins the policy, another seed). The
+// reconfigured-* pass runs every case on a pooled machine that first ran
+// the case before it, so the machine changes config. Both are held to
+// the same golden.
 func TestFlatGoldCounters(t *testing.T) {
-	for _, c := range flatgoldCases() {
+	cases := flatgoldCases()
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			flatgoldCompare(t, "counters-"+c.name+".txt", []byte(flatgoldCounters(t, c, nil)))
+			flatgoldCompare(t, "counters-"+c.name+".txt", []byte(flatgoldCounters(t, c, nil, false)))
 		})
 	}
-	for _, c := range flatgoldCases() {
+	for _, c := range cases {
 		t.Run("renewed-"+c.name, func(t *testing.T) {
-			flatgoldCompare(t, "counters-"+c.name+".txt", []byte(flatgoldCounters(t, c, newMachinePool(1))))
+			pool := newMachinePool(1)
+			flatgoldDirty(t, c, pool)
+			flatgoldCompare(t, "counters-"+c.name+".txt", []byte(flatgoldCounters(t, c, pool, false)))
+		})
+	}
+	for i, c := range cases {
+		t.Run("reconfigured-"+c.name, func(t *testing.T) {
+			pool := newMachinePool(1)
+			flatgoldRun(t, cases[(i+len(cases)-1)%len(cases)], pool)
+			flatgoldCompare(t, "counters-"+c.name+".txt", []byte(flatgoldCounters(t, c, pool, true)))
 		})
 	}
 }

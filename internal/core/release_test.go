@@ -60,43 +60,77 @@ func settledHostMapped() int64 {
 	return prev
 }
 
-// TestPoolRenewsLatestConfig: with a one-machine pool, the machine a
-// unit parks replaces the one already parked, so after config A then B
-// the next B unit renews B's machine instead of building a fresh one.
+// take removes and returns the oldest machine p holds.
+func take(p *machinePool) *machine.Machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.free[0]
+	p.free = slices.Delete(p.free, 0, 1)
+	return m
+}
+
+// poolUnit returns a gups-rand unit's config on pool, with mutate
+// applied.
+func poolUnit(pool *machinePool, mutate func(*RunConfig)) RunConfig {
+	cfg := testConfig()
+	cfg.Budget = 60_000
+	cfg.machines = pool
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg
+}
+
+// withScheme returns a mutation selecting a translation scheme.
+func withScheme(name string) func(*RunConfig) {
+	return func(c *RunConfig) { c.System.Scheme = name }
+}
+
+// TestPoolRenewsLatestConfig: the pool hands a unit the newest parked
+// machine built for exactly its config, renewed, and reconfigures the
+// oldest parked machine for a config no parked machine was built for.
 func TestPoolRenewsLatestConfig(t *testing.T) {
-	machines := newMachinePool(1)
+	machines := newMachinePool(2)
 	spec := mustSpec(t, "gups-rand")
-	run := func(scheme string) {
+	run := func(mutate func(*RunConfig)) *machine.Machine {
 		t.Helper()
-		cfg := testConfig()
-		cfg.Budget = 60_000
-		cfg.machines = machines
-		cfg.System.Scheme = scheme
+		cfg := poolUnit(machines, mutate)
 		if _, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
+			t.Fatal(err)
 		}
+		p := pooled(machines)
+		return p[len(p)-1]
 	}
-	run("radix")
-	run("victima")
-	parked := pooled(machines)
-	if len(parked) != 1 || parked[0].Config().Scheme != "victima" {
-		t.Fatal("the pool did not park the newest unit's machine")
+	// Park a radix machine and, newer, a victima one.
+	victima := run(withScheme("victima"))
+	take(machines)
+	radix := run(withScheme("radix"))
+	machines.release(victima)
+	if got := run(withScheme("victima")); got != victima {
+		t.Error("the victima unit did not renew the parked victima machine")
 	}
-	run("victima")
-	if after := pooled(machines); len(after) != 1 || after[0] != parked[0] {
-		t.Error("the second victima unit did not renew the parked victima machine")
+	if got := run(withScheme("radix")); got != radix {
+		t.Error("the radix unit did not renew the parked radix machine")
+	}
+	// victima is now the oldest parked machine.
+	if got := run(withScheme("dramcache")); got != victima || got.Config().Scheme != "dramcache" {
+		t.Error("the dramcache unit did not reconfigure the oldest parked machine")
+	}
+	if p := pooled(machines); len(p) != 2 || p[0] != radix {
+		t.Error("reconfiguring the oldest machine dropped another from the pool")
 	}
 }
 
-// TestRunReleasesUnpooledMachines: hashed and nested machines are pooled
-// like every other, and a machine the pool evicts unmaps its host memory.
-// After a hashed unit and then a nested one on a one-machine pool, only
-// the nested machine is parked; releasing it brings the mapped gauge
-// back to where it started.
-func TestRunReleasesUnpooledMachines(t *testing.T) {
+// TestPoolMachineServesEveryConfig: on a one-machine pool, a hashed unit
+// and then a nested unit run on one machine, reconfigured between them,
+// and releasing it brings the mapped gauge back to where it started. On
+// the overflow path — a machine released into a full pool — the machine
+// the pool evicts unmaps its host memory too.
+func TestPoolMachineServesEveryConfig(t *testing.T) {
 	start := settledHostMapped()
 	machines := newMachinePool(1)
-	var parked *machine.Machine
+	spec := mustSpec(t, "gups-rand")
+	var served *machine.Machine
 	for _, tc := range []struct {
 		name   string
 		mutate func(*RunConfig)
@@ -104,25 +138,85 @@ func TestRunReleasesUnpooledMachines(t *testing.T) {
 		{"hashed", func(c *RunConfig) { c.System.PageTable = "hashed" }},
 		{"virt-ept4k", func(c *RunConfig) { c.System = virtualize(c.System, arch.Page4K) }},
 	} {
-		cfg := testConfig()
-		cfg.Budget = 60_000
-		cfg.machines = machines
-		tc.mutate(&cfg)
-		spec := mustSpec(t, "gups-rand")
+		cfg := poolUnit(machines, tc.mutate)
 		if _, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		p := pooled(machines)
-		if len(p) != 1 || p[0] == parked {
-			t.Fatalf("%s: the pool did not park the unit's machine alone", tc.name)
+		if len(p) != 1 || served != nil && p[0] != served {
+			t.Fatalf("%s: the unit did not run on the one pooled machine", tc.name)
 		}
-		parked = p[0]
+		served = p[0]
 	}
-	if !parked.Virtualized() {
-		t.Fatal("the nested unit's machine is not the one parked")
+	if !served.Virtualized() {
+		t.Fatal("the pooled machine was not reconfigured for the nested unit")
 	}
-	parked.Release()
+	parked := mem.HostMappedBytes()
+
+	// A second machine in flight parks into the full pool and evicts the
+	// first, which must unmap what it mapped.
+	second, err := machine.New(*served.Config(), arch.Page4K, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Poke64(second.MustMalloc(arch.MB), 1)
+	both := mem.HostMappedBytes()
+	machines.release(second)
+	if p := pooled(machines); len(p) != 1 || p[0] != second {
+		t.Fatal("the pool did not park the newest machine in place of the oldest")
+	}
+	if got, want := mem.HostMappedBytes(), start+both-parked; got != want {
+		t.Errorf("%d host bytes mapped after the pool evicted a machine, want %d", got, want)
+	}
+	second.Release()
 	if got := mem.HostMappedBytes(); got != start {
 		t.Errorf("%d host bytes mapped after releasing the parked machine, %d before", got, start)
+	}
+}
+
+// TestPoolReconfiguresConcurrently: two workers share a one-machine pool
+// over units of five configs, so machines are renewed, reconfigured,
+// built fresh and evicted while another unit runs. Every unit's counters
+// match the same unit run on a fresh machine.
+func TestPoolReconfiguresConcurrently(t *testing.T) {
+	spec := mustSpec(t, "gups-rand")
+	configs := []func(*RunConfig){
+		withScheme("radix"),
+		withScheme("victima"),
+		func(c *RunConfig) { c.System.Scheme = "mitosis"; c.System.NUMA.Nodes = 2 },
+		func(c *RunConfig) { c.System.PageTable = "hashed" },
+		func(c *RunConfig) { c.System = virtualize(c.System, arch.Page2M) },
+	}
+	n := 2 * len(configs)
+	want := make([]perf.Counters, n)
+	for i := range want {
+		cfg := poolUnit(nil, configs[i%len(configs)])
+		r, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Counters
+	}
+	machines := newMachinePool(1)
+	got := make([]perf.Counters, n)
+	sched := testConfig()
+	sched.Parallelism = 2
+	err := forEachUnit(&sched, n, func(i int) error {
+		cfg := poolUnit(machines, configs[i%len(configs)])
+		r, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K)
+		got[i] = r.Counters
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("unit %d on the shared pool diverges from a fresh machine:\nfresh:\n%s\npooled:\n%s",
+				i, want[i].Format(), got[i].Format())
+		}
+	}
+	for _, m := range pooled(machines) {
+		m.Release()
 	}
 }

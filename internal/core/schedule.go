@@ -11,11 +11,12 @@ import (
 
 // This file is the campaign scheduler. Every sweep in the package breaks
 // its work into *run units* — one (workload, param, page size) simulation,
-// each built on a fresh, seed-deterministic machine with no shared state —
-// and executes them on a bounded worker pool. Results are written into
-// per-unit slots and reduced in ladder order afterwards, so a parallel
-// campaign's tables and CSV are byte-identical to a serial one's; only the
-// interleaving of progress lines (each written atomically) differs.
+// each on a seed-deterministic machine in exactly the state a fresh build
+// has, sharing no state with another unit — and executes them on a
+// bounded worker pool. Results are written into per-unit slots and
+// reduced in ladder order afterwards, so a parallel campaign's tables and
+// CSV are byte-identical to a serial one's; only the interleaving of
+// progress lines (each written atomically) differs.
 //
 // The pool bound is RunConfig.Parallelism (default GOMAXPROCS). A session
 // shares one pool across every experiment dispatched on it, so concurrent
@@ -24,15 +25,16 @@ import (
 
 // machinePool recycles simulated machines across a session's run units.
 // Building a machine allocates megabytes of cache/TLB tag arrays and
-// re-faults its physical backing from scratch — formerly the bulk of a
-// campaign's allocation volume. Renewing a pooled machine reuses that
-// long-lived state in place; machine.Renew guarantees the renewed
-// machine is byte-identical to a fresh build, and the flatgold goldens
-// (captured unpooled) hold pooled campaigns to it. Every machine is
-// pooled, but a machine is only handed out for exactly the SystemConfig
-// it was built with. A full pool parks the newest machine and releases
-// the oldest, so a session that moves from one config to the next keeps
-// renewing instead of holding the first config's machine forever.
+// faults its physical backing in from scratch; a session that builds one
+// machine per config holds every config's backing at once. A parked
+// machine is handed out for any config instead: one built for exactly
+// the unit's SystemConfig is preferred, and renewing it reuses its arrays
+// in place; otherwise the oldest parked machine is reconfigured, which
+// rebuilds the timing model but keeps its host memory. Either way the
+// machine is byte-identical to a fresh build (machine.Reconfigure), and
+// the flatgold goldens (captured unpooled) hold pooled campaigns to it.
+// machine.New runs only when nothing is parked. A full pool parks the
+// newest machine and releases the oldest.
 type machinePool struct {
 	mu sync.Mutex
 	// max bounds retained machines (the session's parallelism: more can
@@ -46,24 +48,33 @@ type machinePool struct {
 
 func newMachinePool(max int) *machinePool { return &machinePool{max: max} }
 
-// acquire returns a renewed machine matching sys, or nil when the pool
-// has no match (the caller builds a fresh one). A match that fails to
-// renew is released. Nil-safe.
+// acquire returns a parked machine made ready for sys: the newest one
+// built for exactly sys, else the oldest, reconfigured. It returns nil
+// when nothing is parked (the caller builds a fresh machine), and
+// releases a machine that fails to reconfigure and returns nil, so the
+// caller's build reports the error. Nil-safe.
 func (p *machinePool) acquire(sys arch.SystemConfig, policy arch.PageSize, seed int64) *machine.Machine {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	var m *machine.Machine
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if *p.free[i].Config() == sys {
-			m = p.free[i]
-			p.free = slices.Delete(p.free, i, i+1)
+	if len(p.free) == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	// The oldest machine, free[0], is the fallback and also a match when
+	// no newer one is.
+	i := 0
+	for j := len(p.free) - 1; j > 0; j-- {
+		if *p.free[j].Config() == sys {
+			i = j
 			break
 		}
 	}
+	m := p.free[i]
+	p.free = slices.Delete(p.free, i, i+1)
 	p.mu.Unlock()
-	if m != nil && !m.Renew(policy, seed) {
+	if err := m.Reconfigure(sys, policy, seed); err != nil {
 		m.Release()
 		return nil
 	}

@@ -28,7 +28,6 @@ type backEnd struct {
 	engine walker.Engine
 	// fault is handleFault bound once at build, so switching address
 	// spaces hands the core the same handler without allocating.
-	//atlint:noreset bound to this back end for its lifetime; it reads the current b.as
 	fault cpu.FaultHandler
 
 	// migr, when non-nil, drives the deterministic NUMA thread-migration
@@ -105,13 +104,22 @@ func (b *backEnd) apply(e event) {
 	b.intervalTick()
 }
 
-// build assembles the timing model New describes.
+// build assembles the timing model New describes. A back end that
+// already has physical memory lays it out afresh for cfg and keeps it,
+// with the host memory it holds; everything else is built new.
 func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
-	b.cfg = cfg
-	b.phys = mem.NewPhysNUMA(cfg.PhysMemBytes, cfg.NUMA.EffectiveNodes())
+	phys := b.phys
+	if phys == nil {
+		phys = mem.NewPhysNUMA(cfg.PhysMemBytes, cfg.NUMA.EffectiveNodes())
+	} else {
+		phys.Reconfigure(cfg.PhysMemBytes, cfg.NUMA.EffectiveNodes())
+	}
+	// A nested machine's config mirror records the guest OS heap policy,
+	// for reports.
+	*b = backEnd{cfg: withGuestPages(cfg, policy), phys: phys}
 	caches := cache.NewHierarchy(&b.cfg)
 
 	var as *vm.AddrSpace
@@ -121,9 +129,6 @@ func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64)
 		// Nested paging: the machine's address space becomes a guest. Its
 		// page tables are built in guest-physical memory, so the walker
 		// must cross into the EPT dimension to resolve every guest level.
-		// The policy argument is the guest OS heap policy; keep the config
-		// mirror coherent for reports.
-		b.cfg.Virt.GuestPages = policy
 		hyp, herr := virt.NewHypervisor(b.phys, cfg.Virt.EPTPages)
 		if herr != nil {
 			return fmt.Errorf("machine: %w", herr)
@@ -178,13 +183,22 @@ func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64)
 	return nil
 }
 
-// renew is Machine.Renew's back-end half.
-func (b *backEnd) renew(policy arch.PageSize, seed int64) bool {
+// reconfigure is Machine.Reconfigure's back-end half. A machine asked
+// for the config it already has, the guest policy a nested config
+// records aside, renews in place: it rewinds the physical allocators and
+// rebuilds the tables in New's order (EPT, then guest memory, then the
+// guest or native tables), so every table page lands where a fresh
+// machine's would. Any other config is built anew on the machine's
+// physical memory.
+func (b *backEnd) reconfigure(cfg arch.SystemConfig, policy arch.PageSize, seed int64) error {
+	if withGuestPages(b.cfg, policy) != withGuestPages(cfg, policy) {
+		return b.build(cfg, policy, seed)
+	}
 	b.phys.Reset()
 	if b.hyp != nil {
 		b.cfg.Virt.GuestPages = policy
-		if b.hyp.Reset() != nil {
-			return false
+		if err := b.hyp.Reset(); err != nil {
+			return fmt.Errorf("machine: %w", err)
 		}
 		b.gphys.Reset()
 		clear(b.tenants[1:])
@@ -192,7 +206,7 @@ func (b *backEnd) renew(policy arch.PageSize, seed int64) bool {
 		b.as = b.tenants[0]
 	}
 	if err := b.as.Reset(policy); err != nil {
-		return false
+		return fmt.Errorf("machine: %w", err)
 	}
 	b.engine.Reset()
 	if b.migr != nil {
@@ -207,7 +221,16 @@ func (b *backEnd) renew(policy arch.PageSize, seed int64) bool {
 	b.phaseTrk = nil
 	b.prefaults = 0
 	b.traceProc = nil
-	return true
+	return nil
+}
+
+// withGuestPages returns cfg as a machine built with the given heap
+// policy records it: a nested config's guest page size is the policy.
+func withGuestPages(cfg arch.SystemConfig, policy arch.PageSize) arch.SystemConfig {
+	if cfg.Virt.Enabled {
+		cfg.Virt.GuestPages = policy
+	}
+	return cfg
 }
 
 // migrateState drives the deterministic round-robin NUMA migration

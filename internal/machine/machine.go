@@ -109,17 +109,23 @@ func New(cfg arch.SystemConfig, policy arch.PageSize, seed int64) (*Machine, err
 func (m *Machine) Poolable() bool { return true }
 
 // Renew returns the machine to the state New(cfg, policy, seed) would
-// have produced, reusing the expensive long-lived state — cache and TLB
-// arrays, physical backing chunks, data stores — instead of reallocating
-// it. The physical allocators are rewound and the tables rebuilt in
-// New's order (EPT, then guest memory, then the guest or native tables),
-// so every table page lands at the physical address a fresh machine's
-// would, making a renewed machine byte-identical to a new one (the
-// flatgold tests hold campaigns to that). A virtualized machine drops
-// every tenant but the first. It reports false — leaving the machine
-// unusable — when a table cannot be rebuilt (a policy the organization
-// cannot back).
+// have produced for its own config: it is Reconfigure with that config,
+// and reports whether it succeeded. A machine that fails to renew (a
+// policy the organization cannot back) is unusable.
 func (m *Machine) Renew(policy arch.PageSize, seed int64) bool {
+	return m.Reconfigure(*m.Config(), policy, seed) == nil
+}
+
+// Reconfigure leaves the machine exactly as New(cfg, policy, seed) would
+// build it — the same counters, physical frames and data — but on the
+// host memory it already holds: the data stores are reset and the
+// physical memory is laid out afresh, their touched chunks kept as
+// spares for the next unit to write. A machine asked for its own config
+// (a nested one's guest policy aside) renews in place, reusing its cache
+// and TLB arrays too; any other config rebuilds the timing model. The
+// flatgold tests hold pooled campaigns to a fresh build. On error the
+// machine is unusable; Release it.
+func (m *Machine) Reconfigure(cfg arch.SystemConfig, policy arch.PageSize, seed int64) error {
 	m.sync()
 	for _, w := range m.data[:cap(m.data)] {
 		if w != nil {
@@ -131,7 +137,7 @@ func (m *Machine) Renew(policy arch.PageSize, seed int64) bool {
 	m.accesses = 0
 	m.tracer = nil
 	m.quietInvalidate()
-	return m.be.renew(policy, seed)
+	return m.be.reconfigure(cfg, policy, seed)
 }
 
 // Release frees the host memory backing the machine's physical memory and

@@ -204,3 +204,67 @@ func TestUMAMachineNeverMigrates(t *testing.T) {
 		t.Errorf("UMA machine migrated %d times", c.Get(perf.NUMAMigrations))
 	}
 }
+
+// TestReconfigureThroughEveryVariant: one machine, reconfigured through
+// every benchmark machine variant in turn and running a unit on each,
+// ends each unit in the state a machine built fresh for the variant
+// reaches: the same config, counters, physical memory, data and memory
+// gauges. It starts as a dirtied nested machine, so the walk crosses
+// nested to native, two NUMA nodes to one and hashed to nested.
+func TestReconfigureThroughEveryVariant(t *testing.T) {
+	schemes := schemeTestConfigs()
+	hashed := arch.DefaultSystem()
+	hashed.PageTable = "hashed"
+	virt := func(ept arch.PageSize) arch.SystemConfig {
+		cfg := arch.DefaultSystem()
+		cfg.Virt = arch.DefaultVirt()
+		cfg.Virt.EPTPages = ept
+		return cfg
+	}
+	variants := []struct {
+		name   string
+		cfg    arch.SystemConfig
+		policy arch.PageSize
+	}{
+		{"radix", schemes["radix"], arch.Page2M},
+		{"victima", schemes["victima"], arch.Page4K},
+		{"mitosis", schemes["mitosis"], arch.Page4K},
+		{"dramcache", schemes["dramcache"], arch.Page4K},
+		{"hashed", hashed, arch.Page4K},
+		{"virt-ept4k", virt(arch.Page4K), arch.Page4K},
+		{"virt-ept2m", virt(arch.Page2M), arch.Page2M},
+	}
+	m, err := New(virt(arch.Page2M), arch.Page4K, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	runSchemeWorkload(m, 11)
+	for _, v := range variants {
+		fresh, err := New(v.cfg, v.policy, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runSchemeWorkload(fresh, 3)
+		if err := m.Reconfigure(v.cfg, v.policy, 7); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if *m.Config() != *fresh.Config() {
+			t.Errorf("%s: reconfigured machine reports config %+v, fresh %+v", v.name, *m.Config(), *fresh.Config())
+		}
+		if got := runSchemeWorkload(m, 3); got != want {
+			t.Errorf("%s: reconfigured machine diverges from a fresh build:\nfresh:\n%s\nreconfigured:\n%s",
+				v.name, want.Format(), got.Format())
+		}
+		if !m.be.phys.Equal(fresh.be.phys) {
+			t.Errorf("%s: reconfigured machine's physical memory differs from a fresh build's", v.name)
+		}
+		if !m.words.Equal(fresh.words) {
+			t.Errorf("%s: reconfigured machine's data differs from a fresh build's", v.name)
+		}
+		if got, want := memoryGauges(m), memoryGauges(fresh); !slices.Equal(got, want) {
+			t.Errorf("%s: reconfigured machine's memory gauges %v, fresh %v", v.name, got, want)
+		}
+		fresh.Release()
+	}
+}

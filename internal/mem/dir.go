@@ -28,28 +28,15 @@ type chunkDir struct {
 	// are nil until a chunk in the group is written. Release sets it to
 	// nil, which marks the store released.
 	//
-	//atlint:noreset Reset empties the groups but keeps the spine; only Release drops it, for good
+	//atlint:noreset Reset empties the groups but keeps the spine; a Phys re-layout resizes it and only Release drops it, for good
 	spine []*group
 
-	// spare holds chunks a Reset or a superpage free took out of the
-	// directory. They keep their old contents; fresh clears one when it
-	// hands it out again, unless a whole-chunk write is about to overwrite
-	// it, so a Reset costs a directory scan, not a clear of everything the
-	// last unit touched.
-	spare []*chunk
-
-	// host owns the slabs chunks and groups are carved from: a Phys's
-	// own, shared with the Words made from it.
+	// host owns the slabs chunks and groups are carved from, and the
+	// spare chunks: a Phys's own, shared with the Words made from it.
 	host *host
 
 	// touched counts the chunks materialized in the directory.
 	touched uint64
-}
-
-// newChunkDir returns an empty directory whose spine covers groups
-// groups.
-func newChunkDir(groups uint64) chunkDir {
-	return chunkDir{spine: make([]*group, groups), host: &host{}}
 }
 
 // checkLive panics if the store was released.
@@ -63,15 +50,11 @@ func (d *chunkDir) checkLive() {
 // from the host slab. With whole set, the caller overwrites every word of
 // the chunk before anything reads it, so a spare is handed out as it is.
 func (d *chunkDir) fresh(whole bool) *chunk {
-	if n := len(d.spare); n > 0 {
-		c := d.spare[n-1]
-		d.spare = d.spare[:n-1]
-		if !whole {
-			clear(c[:])
-		}
-		return c
+	c, spare := d.host.take()
+	if spare && !whole {
+		clear(c[:])
 	}
-	return d.host.carve()
+	return c
 }
 
 // chunk returns the backing chunk for address a, materializing it (and
@@ -180,21 +163,15 @@ func (d *chunkDir) equal(o *chunkDir) bool {
 	return true
 }
 
-// spill moves g's chunks onto the spare list.
-func (d *chunkDir) spill(g *group) {
-	for i, c := range g {
-		if c != nil {
-			d.spare = append(d.spare, c)
-			g[i] = nil
-			d.touched--
-		}
-	}
-}
+// spill moves g's chunks onto the host's spare list.
+func (d *chunkDir) spill(g *group) { d.touched -= d.host.put(g) }
 
-// reset moves every chunk to the spare list, keeping the groups in the
-// spine for the next tenant.
+// reset moves every chunk to the host's spare list, keeping the groups in
+// the spine for the next tenant. The list grows once, by every touched
+// chunk.
 func (d *chunkDir) reset() {
 	d.checkLive()
+	d.host.reserve(d.touched)
 	for _, g := range d.spine {
 		if g != nil {
 			d.spill(g)
@@ -202,8 +179,19 @@ func (d *chunkDir) reset() {
 	}
 }
 
+// resize makes an empty directory's spine cover groups groups. A spine
+// of another length is replaced, and its groups, which hold no chunk and
+// are each one chunk in size, join the spares.
+func (d *chunkDir) resize(groups uint64) {
+	if uint64(len(d.spine)) == groups {
+		return
+	}
+	d.host.putGroups(d.spine)
+	d.spine = make([]*group, groups)
+}
+
 // release unmaps the host slabs; the store is unusable afterwards.
 func (d *chunkDir) release() {
 	d.host.release()
-	d.spine, d.spare, d.touched = nil, nil, 0
+	d.spine, d.touched = nil, 0
 }

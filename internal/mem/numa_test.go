@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 
 	"atscale/internal/arch"
@@ -129,4 +130,52 @@ func TestNUMANodeOfClamps(t *testing.T) {
 	if got := p.NodeOf(huge); got != 1 {
 		t.Errorf("NodeOf(max) = %d, want clamp to last node", got)
 	}
+}
+
+// TestReconfigureMatchesNew: a memory reconfigured to another capacity
+// and node count is equal to a new one of that layout given the same
+// allocations and writes, and serves them from the host memory it
+// already holds: it carves nothing after the largest layout's writes.
+func TestReconfigureMatchesNew(t *testing.T) {
+	dirty := func(p *Phys) {
+		t.Helper()
+		for node := 0; node < p.Nodes(); node++ {
+			for _, ps := range []arch.PageSize{arch.Page4K, arch.Page2M, arch.Page4K} {
+				pa, err := p.AllocPageOnNode(ps, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for off := uint64(0); off < 16*chunkBytes && off < ps.Bytes(); off += 512 {
+					p.Write64(pa+arch.PAddr(off), uint64(pa)+off|1)
+				}
+			}
+		}
+		pa, _ := p.AllocPageOnNode(arch.Page2M, p.Nodes()-1)
+		p.Write64(pa, 1)
+		p.FreePage(pa, arch.Page2M)
+	}
+	p := NewPhysNUMA(4*arch.GB, 3)
+	dirty(p)
+	left := uncarved(p)
+	for _, l := range []struct {
+		limit uint64
+		nodes int
+	}{{8 * arch.GB, 1}, {arch.GB, 1}, {8 * arch.GB, 2}, {4 * arch.GB, 3}} {
+		name := fmt.Sprintf("%s on %d nodes", arch.FormatBytes(l.limit), l.nodes)
+		p.Reconfigure(l.limit, l.nodes)
+		fresh := NewPhysNUMA(l.limit, l.nodes)
+		if !p.Equal(fresh) {
+			t.Fatalf("%s: reconfigured memory differs from a new one", name)
+		}
+		dirty(p)
+		dirty(fresh)
+		if !p.Equal(fresh) {
+			t.Errorf("%s: reconfigured memory differs from a new one given the same writes", name)
+		}
+		fresh.Release()
+		if got := uncarved(p); got != left {
+			t.Errorf("%s: %d chunks carved from the host slab, want none", name, left-got)
+		}
+	}
+	p.Release()
 }

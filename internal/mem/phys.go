@@ -55,8 +55,8 @@ const physBase = arch.PhysBase
 // The backing store is a chunk directory indexed by physical address, so
 // the walker-loop Read64 is two shifts and two array loads, never a map
 // probe. The directory spine is sized from the configured limit at
-// construction (a 256 GB machine costs ~1 MB of nil group pointers) and
-// groups materialize on first write.
+// construction or Reconfigure (a 256 GB machine costs ~1 MB of nil group
+// pointers) and groups materialize on first write.
 type Phys struct {
 	chunkDir
 
@@ -96,39 +96,45 @@ func NewPhys(limitBytes uint64) *Phys { return NewPhysNUMA(limitBytes, 1) }
 // stride is a 1 GB multiple when the capacity allows, 2 MB otherwise
 // (1 GB frames then live on whichever node their alignment lands them).
 func NewPhysNUMA(limitBytes uint64, nodes int) *Phys {
+	p := &Phys{chunkDir: chunkDir{host: &host{}}}
+	p.cleanup = runtime.AddCleanup(p, (*host).release, p.host)
+	p.layout(limitBytes, nodes)
+	return p
+}
+
+// layout lays p out as NewPhysNUMA(limitBytes, nodes) describes, with
+// every frame free. The directory must hold no chunk.
+func (p *Phys) layout(limitBytes uint64, nodes int) {
 	if nodes < 1 {
 		nodes = 1
 	}
-	p := &Phys{
-		chunkDir: newChunkDir((physBase + limitBytes + groupBytes - 1) >> (chunkShift + groupShift)),
-		limit:    limitBytes,
+	var stride uint64
+	if nodes > 1 {
+		stride = arch.AlignDown(limitBytes/uint64(nodes), arch.Page1G.Bytes())
+		if stride == 0 {
+			stride = arch.AlignDown(limitBytes/uint64(nodes), groupBytes)
+		}
+		if stride == 0 {
+			panic(fmt.Sprintf("mem: %s too small for %d NUMA nodes", arch.FormatBytes(limitBytes), nodes))
+		}
 	}
-	p.cleanup = runtime.AddCleanup(p, (*host).release, p.host)
-	if nodes == 1 {
-		p.nodes = []nodeAlloc{{start: physBase, end: physBase + limitBytes, next: physBase}}
-		return p
-	}
-	stride := arch.AlignDown(limitBytes/uint64(nodes), arch.Page1G.Bytes())
-	if stride == 0 {
-		stride = arch.AlignDown(limitBytes/uint64(nodes), groupBytes)
-	}
-	if stride == 0 {
-		panic(fmt.Sprintf("mem: %s too small for %d NUMA nodes", arch.FormatBytes(limitBytes), nodes))
-	}
-	p.stride = stride
-	p.nodes = make([]nodeAlloc, nodes)
+	p.resize((physBase + limitBytes + groupBytes - 1) >> (chunkShift + groupShift))
+	p.limit, p.stride, p.reserved = limitBytes, stride, 0
+	p.nodes = slices.Grow(p.nodes[:0], nodes)[:nodes]
 	for i := range p.nodes {
-		start := uint64(i) * stride
+		na := &p.nodes[i]
+		na.start, na.end = uint64(i)*stride, uint64(i+1)*stride
 		if i == 0 {
-			start = physBase
+			na.start = physBase
 		}
-		end := uint64(i+1) * stride
 		if i == nodes-1 {
-			end = physBase + limitBytes
+			na.end = physBase + limitBytes
 		}
-		p.nodes[i] = nodeAlloc{start: start, end: end, next: start}
+		na.next = na.start
+		for ps := range na.free {
+			na.free[ps] = na.free[ps][:0]
+		}
 	}
-	return p
 }
 
 // Nodes returns the number of NUMA nodes (1 for UMA).
@@ -216,16 +222,16 @@ func (p *Phys) TouchedBytes() uint64 { return p.touched << chunkShift }
 // lands on already-committed host memory instead of re-faulting it in.
 // Reset only scans the directory; a spare is cleared when it is next
 // written, so a chunk the next tenant never writes is never cleared.
-func (p *Phys) Reset() {
+// It is Reconfigure with p's own capacity and node count.
+func (p *Phys) Reset() { p.Reconfigure(p.limit, len(p.nodes)) }
+
+// Reconfigure leaves p as NewPhysNUMA(limitBytes, nodes) would build it,
+// on the host memory p already holds: every touched chunk becomes a
+// spare, as on Reset, and a directory spine of another length is
+// replaced, its groups becoming spares too.
+func (p *Phys) Reconfigure(limitBytes uint64, nodes int) {
 	p.reset()
-	for i := range p.nodes {
-		na := &p.nodes[i]
-		for ps := range na.free {
-			na.free[ps] = na.free[ps][:0]
-		}
-		na.next = na.start
-	}
-	p.reserved = 0
+	p.layout(limitBytes, nodes)
 }
 
 // Release unmaps the host memory backing p. The Phys is unusable

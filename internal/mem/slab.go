@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -36,9 +37,10 @@ var hostMapped atomic.Int64
 func HostMappedBytes() int64 { return hostMapped.Load() }
 
 // host is the host memory a Phys, and the Words made from it, carve
-// chunks and groups from. It is its own object, holding no reference to
-// the Phys, so that the Phys's cleanup can take it as argument. A Phys
-// and its Words may be used from two goroutines, so carving locks.
+// chunks and groups from and hand back as spares. It is its own object,
+// holding no reference to the Phys, so that the Phys's cleanup can take
+// it as argument. A Phys and its Words may be used from two goroutines,
+// so carving and the spare list lock.
 type host struct {
 	mu sync.Mutex
 	// slab is what is left to carve of the newest slab.
@@ -52,13 +54,28 @@ type host struct {
 	// what keeps them alive.
 	//atlint:guardedby mu
 	made [][]chunk
+	// spare holds the chunks the stores carving from this host took out
+	// of their directories: on a Reset, a superpage free or a re-layout.
+	// Any of those stores takes them back, so the host holds about as
+	// many chunks as its stores have had materialized at once, not the
+	// sum of each store's own high-water mark. A spare keeps its
+	// old contents; fresh clears one when it hands it out again, unless a
+	// whole-chunk write is about to overwrite it, so a Reset costs a
+	// directory scan, not a clear of everything the last unit touched.
+	//atlint:guardedby mu
+	spare []*chunk
 }
 
-// carve returns a fresh zeroed chunk from the current slab, starting a new
-// slab when it runs out.
-func (h *host) carve() *chunk {
+// take returns a spare chunk, reporting true, or else a zeroed one carved
+// from the current slab, starting a new slab when it runs out.
+func (h *host) take() (*chunk, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if n := len(h.spare); n > 0 {
+		c := h.spare[n-1]
+		h.spare = h.spare[:n-1]
+		return c, true
+	}
 	if len(h.slab) == 0 {
 		if s, unmap, err := mapSlab(slabBytes); err == nil {
 			// A mapped slab is hugeBytes-aligned outside the Go heap, so
@@ -72,7 +89,41 @@ func (h *host) carve() *chunk {
 	}
 	c := &h.slab[0]
 	h.slab = h.slab[1:]
-	return c
+	return c, false
+}
+
+// reserve grows the spare list's capacity by n chunks.
+func (h *host) reserve(n uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.spare = slices.Grow(h.spare, int(n))
+}
+
+// put moves g's chunks onto the spare list and returns how many it moved.
+func (h *host) put(g *group) uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var n uint64
+	for i, c := range g {
+		if c != nil {
+			h.spare = append(h.spare, c)
+			g[i] = nil
+			n++
+		}
+	}
+	return n
+}
+
+// putGroups moves the groups of spine, which must hold no chunk, onto the
+// spare list: a group is one chunk in size.
+func (h *host) putGroups(spine []*group) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, g := range spine {
+		if g != nil {
+			h.spare = append(h.spare, (*chunk)(unsafe.Pointer(g)))
+		}
+	}
 }
 
 // release unmaps every mapped slab. Slabs from make are left to the
@@ -83,5 +134,5 @@ func (h *host) release() {
 	for _, unmap := range h.unmaps {
 		unmap()
 	}
-	h.slab, h.unmaps, h.made = nil, nil, nil
+	h.slab, h.unmaps, h.made, h.spare = nil, nil, nil, nil
 }

@@ -46,7 +46,10 @@ func TestResetZeroesLazily(t *testing.T) {
 	if got := p.Read64(pa + 8); got != 0 {
 		t.Errorf("re-read after Reset = %#x, want 0", got)
 	}
-	if n := len(p.spare); n != 16 {
+	p.host.mu.Lock()
+	n := len(p.host.spare)
+	p.host.mu.Unlock()
+	if n != 16 {
 		t.Fatalf("%d spare chunks after Reset, want 16", n)
 	}
 
@@ -69,6 +72,44 @@ func TestResetZeroesLazily(t *testing.T) {
 	if !p.Equal(fresh) {
 		t.Error("reset-and-rewritten memory differs from a fresh one with the same writes")
 	}
+}
+
+// uncarved returns how many chunks are left to carve of p's newest slab.
+func uncarved(p *Phys) int {
+	p.host.mu.Lock()
+	defer p.host.mu.Unlock()
+	return len(p.host.slab)
+}
+
+// TestSparesShared: a Phys and the Words made from it share one spare
+// list, so chunks one store's Reset freed serve the other's writes and
+// nothing new is carved.
+func TestSparesShared(t *testing.T) {
+	p := NewPhys(arch.GB)
+	w := p.NewWords()
+	w.Grow(groupBytes)
+	write := func(write64 func(a, v uint64), base, chunks uint64) {
+		for i := uint64(0); i < chunks; i++ {
+			write64(base+i*chunkBytes, i|1)
+		}
+	}
+	write(p.write64, physBase, 16)
+	write(w.write64, 0, 16)
+	left := uncarved(p)
+	p.Reset()
+	w.Reset()
+	// The data store takes the memory's 16 chunks as well as its own: 31
+	// chunks and the group a second 2 MB of extent needs.
+	w.Grow(2 * groupBytes)
+	write(w.write64, groupBytes, 16)
+	write(w.write64, 0, 15)
+	if got := uncarved(p); got != left {
+		t.Errorf("%d chunks carved after Reset, want none: the stores do not share their spares", left-got)
+	}
+	if got := w.read64(groupBytes + chunkBytes + 8); got != 0 {
+		t.Errorf("a spare taken by the other store reads %#x, want 0", got)
+	}
+	p.Release()
 }
 
 // TestReleaseUnmaps: Release unmaps every slab, is idempotent, and any

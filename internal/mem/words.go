@@ -62,4 +62,4 @@ func (w *Words) Reset() { w.reset() }
 // Release drops the store, which is unusable afterwards. The host memory
 // it carved stays mapped until its Phys is released. Release is
 // idempotent.
-func (w *Words) Release() { w.spine, w.spare, w.touched = nil, nil, 0 }
+func (w *Words) Release() { w.spine, w.touched = nil, 0 }

@@ -11,7 +11,7 @@
 #	           functions stay under the inliner budget, checked against
 #	           real `go build -gcflags=-m=2` diagnostics when the
 #	           toolchain matches the pinned go1.24), resetdiscipline
-#	           (Reset/Renew must reinitialize every mutable field or
+#	           (Reset/Renew/Reconfigure must reinitialize every mutable field or
 #	           carry //atlint:noreset <why>), and lockguard
 #	           (//atlint:guardedby mu fields only touched with the
 #	           mutex held on every CFG path).
