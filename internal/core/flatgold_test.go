@@ -35,8 +35,10 @@ const flatgoldDir = "testdata/flatgold"
 // refactor touches: the radix walker at 4/5 levels, all three page-size
 // policies, hashed page tables, nested paging (4 KB guest pages over 4 KB
 // and 2 MB EPT leaves, 2 MB guest pages over 1 GB EPT leaves), mitosis
-// replicas on two NUMA nodes, and WCPI-guided promotion (which exercises
-// machine-internal state the quiet path caches).
+// replicas on two NUMA nodes, Victima's PTE blocks, and WCPI-guided
+// promotion (which exercises machine-internal state the quiet path
+// caches). The mcf cases pin an input most of whose pages the measured
+// region never reads.
 type flatgoldCase struct {
 	name     string
 	workload string
@@ -96,6 +98,11 @@ func flatgoldCases() []flatgoldCase {
 				c.System.NUMA.Nodes = 2
 				c.System.NUMA.MigrateEvery = 10_000
 			}},
+		// mcf's arc arrays span 512 pages each at this rung, and the
+		// budget's pricing scan reads the first few dozen of them.
+		{name: "mcf-4k", workload: "mcf-rand", param: 1 << 15, ps: arch.Page4K},
+		{name: "mcf-victima", workload: "mcf-rand", param: 1 << 15, ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.System.Scheme = "victima" }},
 	}
 }
 
