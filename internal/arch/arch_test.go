@@ -219,6 +219,11 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 			c.PhysMemBytes = CacheTagLimit*CacheLineSize - PhysBase + 1
 		},
 		"64-set L1D past its 32-bit tags": func(c *SystemConfig) { c.PhysMemBytes = CacheTagLimit*64*CacheLineSize - PhysBase + 1 },
+		// The translation schemes' own build checks.
+		"mitosis on one NUMA node":           func(c *SystemConfig) { c.Scheme = "mitosis" },
+		"negative Victima directory":         func(c *SystemConfig) { c.Scheme = "victima"; c.SchemeParams.VictimaEntries = -1 },
+		"DRAM cache below one page":          func(c *SystemConfig) { c.Scheme = "dramcache"; c.SchemeParams.DRAMCacheBytes = 4095 },
+		"DRAM cache hit no faster than DRAM": func(c *SystemConfig) { c.Scheme = "dramcache"; c.DRAMLatency = DefaultDRAMCacheHitLatency },
 	} {
 		cfg = DefaultSystem()
 		mutate(&cfg)

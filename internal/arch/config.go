@@ -183,6 +183,14 @@ func (n NUMAConfig) EffectiveMigrateEvery() uint64 {
 	return n.MigrateEvery
 }
 
+// Die-stacked DRAM cache defaults (SchemeParams), loosely HBM-class
+// against the baseline DRAMLatency of 210 cycles.
+const (
+	DefaultDRAMCacheBytes       = 1 << 30 // 1 GB stacked die
+	DefaultDRAMCacheHitLatency  = 60      // stacked-die access, cycles
+	DefaultDRAMCacheMissPenalty = 25      // tag check before going off-package
+)
+
 // SchemeParams tunes the non-radix translation-scheme backends
 // (internal/scheme). Zero values select per-scheme defaults; like
 // NUMAConfig, the zero value must stay zero in the struct so pool
@@ -199,6 +207,33 @@ type SchemeParams struct {
 	// DRAMCacheMissPenalty is the extra latency of probing the DRAM
 	// cache and missing, on top of the off-package DRAM access.
 	DRAMCacheMissPenalty uint64
+}
+
+// EffectiveDRAMCacheBytes returns DRAMCacheBytes, its zero value
+// normalized to DefaultDRAMCacheBytes.
+func (p SchemeParams) EffectiveDRAMCacheBytes() uint64 {
+	if p.DRAMCacheBytes == 0 {
+		return DefaultDRAMCacheBytes
+	}
+	return p.DRAMCacheBytes
+}
+
+// EffectiveDRAMCacheHitLatency returns DRAMCacheHitLatency, its zero
+// value normalized to DefaultDRAMCacheHitLatency.
+func (p SchemeParams) EffectiveDRAMCacheHitLatency() uint64 {
+	if p.DRAMCacheHitLatency == 0 {
+		return DefaultDRAMCacheHitLatency
+	}
+	return p.DRAMCacheHitLatency
+}
+
+// EffectiveDRAMCacheMissPenalty returns DRAMCacheMissPenalty, its zero
+// value normalized to DefaultDRAMCacheMissPenalty.
+func (p SchemeParams) EffectiveDRAMCacheMissPenalty() uint64 {
+	if p.DRAMCacheMissPenalty == 0 {
+		return DefaultDRAMCacheMissPenalty
+	}
+	return p.DRAMCacheMissPenalty
 }
 
 // SystemConfig describes the whole simulated machine. The zero value is not
@@ -368,13 +403,31 @@ func (c *SystemConfig) Validate() error {
 	}
 	// Scheme *names* are validated by the scheme registry at machine
 	// construction (the registry is the single source of truth); the
-	// config layer only rejects combinations no scheme can support.
+	// config layer rejects combinations no scheme can support and the
+	// parameters a named scheme cannot build with.
 	if c.Scheme != "" && c.Scheme != "radix" {
 		if c.Virt.Enabled {
 			return errf("translation scheme %q pairs with native (non-virtualized) machines", c.Scheme)
 		}
 		if c.PageTable == "hashed" {
 			return errf("translation scheme %q pairs with radix page tables", c.Scheme)
+		}
+	}
+	switch p := c.SchemeParams; c.Scheme {
+	case "mitosis":
+		if c.NUMA.EffectiveNodes() < 2 {
+			return errf("mitosis requires NUMA.Nodes >= 2 (got %d); pass -numa-nodes", c.NUMA.Nodes)
+		}
+	case "victima":
+		if p.VictimaEntries < 0 {
+			return errf("victima: VictimaEntries must be >= 0, got %d", p.VictimaEntries)
+		}
+	case "dramcache":
+		if p.EffectiveDRAMCacheBytes() < Page4K.Bytes() {
+			return errf("dramcache: DRAMCacheBytes must be >= 4096, got %d", p.DRAMCacheBytes)
+		}
+		if hit := p.EffectiveDRAMCacheHitLatency(); hit >= c.DRAMLatency {
+			return errf("dramcache: hit latency %d must beat DRAMLatency %d", hit, c.DRAMLatency)
 		}
 	}
 	if c.NUMA.Nodes < 0 || c.NUMA.Nodes > MaxNUMANodes {

@@ -44,6 +44,37 @@ func TestRunPoolsMachineAfterError(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsMachineForRejectedUnit: a unit whose config the build
+// rejects fails without taking the parked machine, so the next valid
+// unit on a one-machine pool still reuses it.
+func TestPoolKeepsMachineForRejectedUnit(t *testing.T) {
+	machines := newMachinePool(1)
+	spec := mustSpec(t, "gups-rand")
+	cfg := poolUnit(machines, nil)
+	if _, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K); err != nil {
+		t.Fatal(err)
+	}
+	parked := pooled(machines)
+	// Mitosis on one NUMA node, and hashed tables under 2 MB pages.
+	bad := poolUnit(machines, withScheme("mitosis"))
+	if _, err := Run(&bad, spec, spec.Ladder[0], arch.Page4K); err == nil {
+		t.Fatal("a mitosis unit on one NUMA node ran")
+	}
+	bad = poolUnit(machines, func(c *RunConfig) { c.System.PageTable = "hashed" })
+	if _, err := Run(&bad, spec, spec.Ladder[0], arch.Page2M); err == nil {
+		t.Fatal("a hashed unit under 2 MB pages ran")
+	}
+	if p := pooled(machines); len(p) != 1 || p[0] != parked[0] {
+		t.Fatal("a rejected unit took the parked machine")
+	}
+	if _, err := Run(&cfg, spec, spec.Ladder[0], arch.Page4K); err != nil {
+		t.Fatal(err)
+	}
+	if p := pooled(machines); len(p) != 1 || p[0] != parked[0] {
+		t.Error("the valid unit after a rejected one did not reuse the parked machine")
+	}
+}
+
 // settledHostMapped returns mem.HostMappedBytes once the cleanups of
 // memories earlier tests left unreachable have run.
 func settledHostMapped() int64 {

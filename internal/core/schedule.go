@@ -50,11 +50,12 @@ func newMachinePool(max int) *machinePool { return &machinePool{max: max} }
 
 // acquire returns a parked machine made ready for sys: the newest one
 // built for exactly sys, else the oldest, reconfigured. It returns nil
-// when nothing is parked (the caller builds a fresh machine), and
-// releases a machine that fails to reconfigure and returns nil, so the
-// caller's build reports the error. Nil-safe.
+// when nothing is parked or the build would reject sys and policy
+// (machine.Validate), so the caller's build reports the error and the
+// parked machines stay for the next unit. A machine that still fails to
+// reconfigure is released. Nil-safe.
 func (p *machinePool) acquire(sys arch.SystemConfig, policy arch.PageSize, seed int64) *machine.Machine {
-	if p == nil {
+	if p == nil || machine.Validate(sys, policy) != nil {
 		return nil
 	}
 	p.mu.Lock()

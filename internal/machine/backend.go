@@ -108,8 +108,8 @@ func (b *backEnd) apply(e event) {
 // already has physical memory lays it out afresh for cfg and keeps it,
 // with the host memory it holds; everything else is built new.
 func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64) error {
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("machine: %w", err)
+	if err := Validate(cfg, policy); err != nil {
+		return err
 	}
 	phys := b.phys
 	if phys == nil {
@@ -142,9 +142,6 @@ func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64)
 		as, err = vm.NewAddrSpaceTables(b.gphys, policy, pt)
 		engine = walker.NewNested(b.phys, hyp.Root(), b.cfg.PSC, b.cfg.Virt, caches)
 	} else if cfg.PageTable == "hashed" {
-		if policy != arch.Page4K {
-			return fmt.Errorf("machine: hashed page tables support the 4KB policy only, got %s", policy)
-		}
 		ht, herr := pagetable.NewHashed(b.phys, 1<<17)
 		if herr != nil {
 			return fmt.Errorf("machine: %w", herr)
@@ -179,6 +176,23 @@ func (b *backEnd) build(cfg arch.SystemConfig, policy arch.PageSize, seed int64)
 	if mg, ok := engine.(scheme.Migratory); ok && cfg.NUMA.EffectiveNodes() > 1 {
 		every := cfg.NUMA.EffectiveMigrateEvery()
 		b.migr = &migrateState{inst: mg, every: every, next: every, nodes: mg.Nodes()}
+	}
+	return nil
+}
+
+// Validate reports whether New(cfg, policy, seed) would reject the
+// pair, without building anything: cfg's own checks, the scheme registry
+// and the page policy the page-table organization can back. A pair it
+// passes builds, host memory permitting.
+func Validate(cfg arch.SystemConfig, policy arch.PageSize) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if _, err := scheme.ByName(cfg.Scheme); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if cfg.PageTable == "hashed" && policy != arch.Page4K {
+		return fmt.Errorf("machine: hashed page tables support the 4KB policy only, got %s", policy)
 	}
 	return nil
 }

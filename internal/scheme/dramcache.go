@@ -22,14 +22,8 @@ import (
 // walker-loads decomposition makes that split measurable).
 type dramCacheScheme struct{}
 
-// Die-stacked DRAM cache defaults, loosely HBM-class against the
-// baseline DRAMLatency of 210 cycles.
-const (
-	dcDefaultBytes       = 1 << 30 // 1 GB stacked die
-	dcWays               = 16
-	dcDefaultHitLatency  = 60 // stacked-die access, cycles
-	dcDefaultMissPenalty = 25 // tag check before going off-package
-)
+// dcWays is the DRAM cache's associativity.
+const dcWays = 16
 
 func (dramCacheScheme) Name() string { return "dramcache" }
 
@@ -38,25 +32,9 @@ func (dramCacheScheme) Doc() string {
 }
 
 func (dramCacheScheme) Build(d Deps) (Instance, error) {
-	bytes := d.Cfg.SchemeParams.DRAMCacheBytes
-	if bytes == 0 {
-		bytes = dcDefaultBytes
-	}
-	if bytes < arch.Page4K.Bytes() {
-		return nil, errf("dramcache: DRAMCacheBytes must be >= 4096, got %d", bytes)
-	}
-	hitLat := d.Cfg.SchemeParams.DRAMCacheHitLatency
-	if hitLat == 0 {
-		hitLat = dcDefaultHitLatency
-	}
-	if hitLat >= d.Cfg.DRAMLatency {
-		return nil, errf("dramcache: hit latency %d must beat DRAMLatency %d",
-			hitLat, d.Cfg.DRAMLatency)
-	}
-	missPen := d.Cfg.SchemeParams.DRAMCacheMissPenalty
-	if missPen == 0 {
-		missPen = dcDefaultMissPenalty
-	}
+	bytes := d.Cfg.SchemeParams.EffectiveDRAMCacheBytes()
+	hitLat := d.Cfg.SchemeParams.EffectiveDRAMCacheHitLatency()
+	missPen := d.Cfg.SchemeParams.EffectiveDRAMCacheMissPenalty()
 	return &dramCache{
 		Walker:  walker.New(d.Phys, mmucache.NewWithDepth(d.Cfg.PSC, d.Cfg.PagingLevels), d.Caches),
 		dir:     assoc.New[uint64, arch.PAddr](int(bytes>>arch.PageShift4K+dcWays-1)/dcWays, dcWays),

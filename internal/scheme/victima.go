@@ -43,9 +43,6 @@ func (victimaScheme) Build(d Deps) (Instance, error) {
 	if entries == 0 {
 		entries = victimaDefaultEntries
 	}
-	if entries < 0 {
-		return nil, errf("victima: VictimaEntries must be >= 0, got %d", entries)
-	}
 	return &victima{
 		Walker: walker.New(d.Phys, mmucache.NewWithDepth(d.Cfg.PSC, d.Cfg.PagingLevels), d.Caches),
 		dir:    assoc.New[uint64, arch.PAddr]((entries+victimaWays-1)/victimaWays, victimaWays),
