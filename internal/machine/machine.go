@@ -87,8 +87,9 @@ type Tracer interface {
 // is front-end state, so this does not wait for the back end.
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
-// Prefault quietly maps the page containing va (replay of a recorded
-// setup-phase materialization).
+// Prefault quietly maps the page containing va, as a poke there would:
+// the replay of a recorded setup-phase materialization, or the mapping
+// half of a deferred fill (DeferWords).
 func (m *Machine) Prefault(va arch.VAddr) { m.quiet(va) }
 
 // New builds a machine from cfg whose heap is backed with the given page
@@ -452,6 +453,18 @@ func (m *Machine) PokeWords(va arch.VAddr, ws []uint64) {
 		va += arch.VAddr(n * 8)
 		ws = ws[n:]
 	}
+}
+
+// DeferWords makes gen the contents of the n words from va (8-byte
+// aligned) in the running tenant's data store, like pokes that write
+// them now, but without writing them or mapping their pages: each 4 KB
+// chunk of the range gets its words when it is first read or written,
+// setup or measured region alike (mem.Words.Defer). gen(i, ws) fills ws
+// with words i, i+1, ... of the range; it must depend on its arguments
+// alone and must not call into the machine. Quiet prefaults, when the
+// pages must be mapped in a poke's order, are the caller's.
+func (m *Machine) DeferWords(va arch.VAddr, n uint64, gen func(i uint64, ws []uint64)) {
+	m.words.Defer(uint64(va-vm.HeapBase), n, gen)
 }
 
 // Peek64 reads the word at va without simulating the access.

@@ -80,11 +80,18 @@ func newNetwork(m *machine.Machine, n uint64) (*network, error) {
 			pot[j] = nw.rng.Intn(2000)
 		}
 	}, nw.parent, nw.depth, nw.pot)
-	workloads.FillRuns(nw.a, func(_ uint64, runs [][]uint64) {
+	// Arc i's tail, head and cost are draws 3i, 3i+1 and 3i+2 after the
+	// tree, so the arcs are deferred: a unit's pricing scan reads a few
+	// percent of them at most. The pivots draw after all 3a.
+	arcs := *nw.rng
+	nw.rng.Skip(3 * nw.a)
+	workloads.DeferRuns(nw.a, func(s uint64, runs [][]uint64) {
+		rng := arcs
+		rng.Skip(3 * s)
 		for j := range runs[0] {
-			runs[0][j] = nw.rng.Intn(n) // tail
-			runs[1][j] = nw.rng.Intn(n) // head
-			runs[2][j] = nw.rng.Intn(2000)
+			runs[0][j] = rng.Intn(n) // tail
+			runs[1][j] = rng.Intn(n) // head
+			runs[2][j] = rng.Intn(2000)
 		}
 	}, nw.tail, nw.head, nw.cost)
 	return nw, nil

@@ -465,9 +465,31 @@ func TestPokeRunBoundsChecked(t *testing.T) {
 
 // BenchmarkFillRuns fills one and three arrays of 2 MB each over mapped
 // pages, the staging and copying cost of set-up per word (the first
-// iteration also first-touches the pages).
+// iteration also first-touches the pages). The renewed cases fill three
+// such arrays, mcf's arcs, eagerly or deferred on a machine renewed each
+// iteration, so every iteration prefaults their pages afresh, then read
+// one word in 64 of each array's 512 pages, a read share like mcf's
+// 1 M-access unit at a large rung: ns/word is what set-up and the reads
+// together cost per word filled.
 func BenchmarkFillRuns(b *testing.B) {
 	const words = 2 * arch.MB / 8
+	stage := func(s uint64, runs [][]uint64) {
+		for k, r := range runs {
+			for j := range r {
+				r[j] = uint64(k) ^ (s + uint64(j))
+			}
+		}
+	}
+	arrays := func(b *testing.B, m *machine.Machine, narr int) []Array {
+		arrs := make([]Array, narr)
+		for k := range arrs {
+			var err error
+			if arrs[k], err = NewArray(m, words); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return arrs
+	}
 	for _, narr := range []int{1, 3} {
 		b.Run(fmt.Sprintf("arrays=%d", narr), func(b *testing.B) {
 			m, err := machine.New(arch.DefaultSystem(), arch.Page4K, 1)
@@ -475,23 +497,37 @@ func BenchmarkFillRuns(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			arrs := make([]Array, narr)
-			for k := range arrs {
-				if arrs[k], err = NewArray(m, words); err != nil {
-					b.Fatal(err)
-				}
-			}
+			arrs := arrays(b, m, narr)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				FillRuns(words, func(s uint64, runs [][]uint64) {
-					for k, r := range runs {
-						for j := range r {
-							r[j] = uint64(k) ^ (s + uint64(j))
-						}
-					}
-				}, arrs...)
+				FillRuns(words, stage, arrs...)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words*narr), "ns/word")
+		})
+	}
+	for _, mode := range []struct {
+		name string
+		fill func(uint64, func(uint64, [][]uint64), ...Array)
+	}{{"eager", FillRuns}, {"deferred", DeferRuns}} {
+		b.Run("renewed/"+mode.name+"/arrays=3", func(b *testing.B) {
+			m, err := machine.New(arch.DefaultSystem(), arch.Page4K, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Release()
+			for i := 0; i < b.N; i++ {
+				if !m.Renew(arch.Page4K, 1) {
+					b.Fatal("renew failed")
+				}
+				arrs := arrays(b, m, 3)
+				mode.fill(words, stage, arrs...)
+				for j := uint64(0); j < words; j += 8 * runWords {
+					for _, a := range arrs {
+						a.Peek(j)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words*3), "ns/word")
 		})
 	}
 }
