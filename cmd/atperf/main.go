@@ -22,7 +22,6 @@ import (
 	"atscale/internal/arch"
 	"atscale/internal/core"
 	"atscale/internal/perf"
-	"atscale/internal/scheme"
 	"atscale/internal/workloads"
 	_ "atscale/internal/workloads/all"
 )
@@ -35,72 +34,33 @@ func main() {
 }
 
 func run() error {
+	f := core.DefaultFlags()
+	f.Bind(flag.CommandLine, core.UnitFlags|core.PagesFlag|core.BudgetFlag)
+	flag.Lookup("pages").Usage += "|all"
 	var (
-		name   = flag.String("w", "bfs-urand", "workload (program-generator)")
-		param  = flag.Uint64("param", 0, "input size parameter (default: smallest rung)")
-		pages  = flag.String("pages", "4KB", "backing page size: 4KB|2MB|1GB|all")
-		budget = flag.Uint64("budget", 2_000_000, "retired accesses in the measured region")
-		seed   = flag.Int64("seed", 2024, "simulation seed")
 		par    = flag.Int("p", 0, "max concurrent simulations with -pages all (0: one per core)")
 		all    = flag.Bool("counters", true, "print the full counter listing")
 		events = flag.String("e", "", "comma-separated event names to print (perf spellings); overrides -counters")
-
-		virt       = flag.Bool("virt", false, "run under nested paging (guest tables over a host EPT)")
-		guestPages = flag.String("guest-pages", "", "with -virt: guest page size (4KB|2MB|1GB); overrides -pages")
-		eptPages   = flag.String("ept-pages", "4KB", "with -virt: EPT leaf size (4KB|2MB|1GB)")
-		schemeName = flag.String("scheme", "", "translation scheme: "+strings.Join(scheme.Names(), "|")+" (default radix)")
-		numaNodes  = flag.Int("numa-nodes", 0, "NUMA nodes (0/1: UMA; mitosis defaults to 2)")
 	)
 	flag.Parse()
 
-	spec, err := workloads.ByName(*name)
+	spec, param, err := f.Spec()
 	if err != nil {
 		return err
-	}
-	if *param == 0 {
-		*param = spec.Ladder[0]
 	}
 	cfg := core.DefaultRunConfig()
-	cfg.Budget = *budget
-	cfg.Seed = *seed
 	cfg.Parallelism = *par
-	if *virt {
-		cfg.System.Virt = arch.DefaultVirt()
-		cfg.System.Virt.EPTPages, err = arch.ParsePageSize(*eptPages)
-		if err != nil {
-			return fmt.Errorf("-ept-pages: %w", err)
-		}
-		if *guestPages != "" {
-			*pages = *guestPages
-		}
-	} else if *guestPages != "" {
-		return fmt.Errorf("-guest-pages requires -virt (use -pages for the native policy)")
+	if err := f.Apply(&cfg); err != nil {
+		return err
 	}
-	if *schemeName != "" {
-		if _, err := scheme.ByName(*schemeName); err != nil {
-			return err
-		}
-		cfg.System.Scheme = *schemeName
+	if f.Pages == "all" {
+		return measureAllPages(&f, &cfg, spec, param)
 	}
-	nodes := *numaNodes
-	if nodes == 0 && cfg.System.Scheme == "mitosis" {
-		nodes = 2
-	}
-	cfg.System.NUMA.Nodes = nodes
-
-	if *pages == "all" {
-		return measureAllPages(&cfg, spec, *param)
-	}
-	ps, err := arch.ParsePageSize(*pages)
+	r, err := f.Run(&cfg, spec, param)
 	if err != nil {
 		return err
 	}
-
-	r, err := core.Run(&cfg, spec, *param, ps)
-	if err != nil {
-		return err
-	}
-	if *virt {
+	if f.Virt {
 		fmt.Printf("workload %s  param %d  guest pages %s  EPT pages %s  footprint %s\n\n",
 			r.Workload, r.Param, r.PageSize, cfg.System.Virt.EPTPages, arch.FormatBytes(r.Footprint))
 	} else {
@@ -120,7 +80,7 @@ func run() error {
 		fmt.Print(r.Counters.Format())
 	}
 	fmt.Print("\n" + r.Metrics.FormatDerived())
-	if *virt {
+	if f.Virt {
 		fmt.Print("\n" + r.Metrics.FormatVirt(r.Counters.Get(perf.EPTWalkCompleted)))
 	}
 	return nil
@@ -128,7 +88,7 @@ func run() error {
 
 // measureAllPages applies the §III methodology: one run per page-size
 // policy (scheduled concurrently), reduced to the relative AT overhead.
-func measureAllPages(cfg *core.RunConfig, spec *workloads.Spec, param uint64) error {
+func measureAllPages(f *core.Flags, cfg *core.RunConfig, spec *workloads.Spec, param uint64) error {
 	p, err := core.MeasureOverhead(cfg, spec, param)
 	if err != nil {
 		return err
@@ -144,5 +104,5 @@ func measureAllPages(cfg *core.RunConfig, spec *workloads.Spec, param uint64) er
 			row.ps, row.m.CPI, row.m.WCPI, row.m.AvgWalkCycles, row.m.TLBMissesPerKiloAccess)
 	}
 	fmt.Printf("\nrelative AT overhead (4KB vs min(2MB, 1GB)): %.1f%%\n", 100*p.RelOverhead)
-	return nil
+	return f.WriteTimeline(cfg.Trace)
 }

@@ -21,8 +21,6 @@ import (
 	"atscale/internal/arch"
 	"atscale/internal/core"
 	"atscale/internal/perf"
-	"atscale/internal/telemetry"
-	"atscale/internal/workloads"
 	_ "atscale/internal/workloads/all"
 )
 
@@ -34,12 +32,9 @@ func main() {
 }
 
 func run() error {
+	f := core.DefaultFlags()
+	f.Bind(flag.CommandLine, core.UnitFlags|core.PagesFlag|core.BudgetFlag)
 	var (
-		name     = flag.String("w", "bfs-urand", "workload (program-generator)")
-		param    = flag.Uint64("param", 0, "input size parameter (default: smallest rung)")
-		pages    = flag.String("pages", "4KB", "backing page size: 4KB|2MB|1GB")
-		budget   = flag.Uint64("budget", 2_000_000, "retired accesses in the measured region")
-		seed     = flag.Int64("seed", 2024, "simulation seed")
 		period   = flag.Uint64("period", 4096, "sampling period (0 disables sampling)")
 		events   = flag.String("e", "", "comma-separated events to arm with -period (default: the dtlb walk-duration pair)")
 		interval = flag.Uint64("interval", 100_000, "instructions per timeline row (0 disables streaming)")
@@ -47,24 +42,17 @@ func run() error {
 		buffer   = flag.Int("buf", 0, "sample ring capacity (0: default)")
 		jsonOut  = flag.Bool("json", false, "emit one JSON document instead of text")
 		csvOut   = flag.String("csv", "", "write PREFIX.timeline.csv and PREFIX.samples.csv alongside the text output")
-		timeline = flag.String("timeline", "", "write the run's deterministic timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
 	)
 	flag.Parse()
 
-	spec, err := workloads.ByName(*name)
+	spec, param, err := f.Spec()
 	if err != nil {
 		return err
-	}
-	ps, err := arch.ParsePageSize(*pages)
-	if err != nil {
-		return err
-	}
-	if *param == 0 {
-		*param = spec.Ladder[0]
 	}
 	cfg := core.DefaultRunConfig()
-	cfg.Budget = *budget
-	cfg.Seed = *seed
+	if err := f.Apply(&cfg); err != nil {
+		return err
+	}
 	cfg.Interval = *interval
 	cfg.SamplePeriod = *period
 	cfg.SampleBuffer = *buffer
@@ -77,24 +65,11 @@ func run() error {
 			cfg.SampleEvents = append(cfg.SampleEvents, e)
 		}
 	}
-
-	var tracer *telemetry.Tracer
-	if *timeline != "" {
-		tracer = telemetry.New()
-		cfg.Trace = tracer
-	}
-
-	r, err := core.Run(&cfg, spec, *param, ps)
+	r, err := f.Run(&cfg, spec, param)
 	if err != nil {
 		return err
 	}
 	report := perf.NewReport(r.Samples, r.SampleDropped, r.SampleDroppedWeight, *topK)
-
-	if tracer != nil {
-		if err := exportTimeline(tracer, *timeline); err != nil {
-			return err
-		}
-	}
 
 	if *csvOut != "" {
 		if err := writeCSVs(*csvOut, r); err != nil {
@@ -139,25 +114,17 @@ func renderText(w *os.File, cfg *core.RunConfig, r core.RunResult, report perf.R
 	}
 }
 
-// jsonTimelineRow mirrors perf's JSONL row shape inside the -json doc.
-type jsonTimelineRow struct {
-	Index     int      `json:"index"`
-	InstStart uint64   `json:"inst_start"`
-	InstEnd   uint64   `json:"inst_end"`
-	Counts    []uint64 `json:"counts"`
-}
-
 // jsonDoc is the -json document.
 type jsonDoc struct {
-	Workload  string            `json:"workload"`
-	Param     uint64            `json:"param"`
-	Pages     string            `json:"pages"`
-	Footprint uint64            `json:"footprint"`
-	Counters  map[string]uint64 `json:"counters"`
-	Metrics   perf.Metrics      `json:"metrics"`
-	Events    []string          `json:"events"`
-	Timeline  []jsonTimelineRow `json:"timeline,omitempty"`
-	Report    *perf.Report      `json:"report,omitempty"`
+	Workload  string             `json:"workload"`
+	Param     uint64             `json:"param"`
+	Pages     string             `json:"pages"`
+	Footprint uint64             `json:"footprint"`
+	Counters  map[string]uint64  `json:"counters"`
+	Metrics   perf.Metrics       `json:"metrics"`
+	Events    []string           `json:"events"`
+	Timeline  []perf.IntervalRow `json:"timeline,omitempty"`
+	Report    *perf.Report       `json:"report,omitempty"`
 }
 
 func writeJSON(w *os.File, r core.RunResult, report perf.Report) error {
@@ -168,19 +135,11 @@ func writeJSON(w *os.File, r core.RunResult, report perf.Report) error {
 		Footprint: r.Footprint,
 		Counters:  make(map[string]uint64, perf.NumEvents),
 		Metrics:   r.Metrics,
+		Timeline:  r.Timeline,
 	}
 	for _, e := range perf.Events() {
 		doc.Counters[e.String()] = r.Counters.Get(e)
 		doc.Events = append(doc.Events, e.String())
-	}
-	for _, row := range r.Timeline {
-		counts := make([]uint64, perf.NumEvents)
-		for _, e := range perf.Events() {
-			counts[e] = row.Delta.Get(e)
-		}
-		doc.Timeline = append(doc.Timeline, jsonTimelineRow{
-			Index: row.Index, InstStart: row.InstStart, InstEnd: row.InstEnd, Counts: counts,
-		})
 	}
 	if r.Samples != nil {
 		doc.Report = &report
@@ -190,32 +149,13 @@ func writeJSON(w *os.File, r core.RunResult, report perf.Report) error {
 	return enc.Encode(doc)
 }
 
-// exportTimeline writes the tracer's timeline to path.
-func exportTimeline(tr *telemetry.Tracer, path string) error {
-	return writeFile(path, tr.Export)
-}
-
 func writeCSVs(prefix string, r core.RunResult) error {
-	if err := writeFile(prefix+".timeline.csv", func(w io.Writer) error {
+	if err := core.WriteFile(prefix+".timeline.csv", func(w io.Writer) error {
 		return perf.WriteIntervalsCSV(w, r.Timeline)
 	}); err != nil {
 		return err
 	}
-	return writeFile(prefix+".samples.csv", func(w io.Writer) error {
+	return core.WriteFile(prefix+".samples.csv", func(w io.Writer) error {
 		return perf.WriteSamplesCSV(w, r.Samples)
 	})
-}
-
-// writeFile creates path and fills it with write. A failed Close can
-// lose written data, so its error is returned too.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -33,10 +33,7 @@ import (
 	"strings"
 	"sync"
 
-	"atscale/internal/arch"
 	"atscale/internal/core"
-	"atscale/internal/refute"
-	"atscale/internal/scheme"
 	"atscale/internal/telemetry"
 	"atscale/internal/workloads"
 	_ "atscale/internal/workloads/all"
@@ -50,10 +47,10 @@ func main() {
 }
 
 func run() (err error) {
+	fl := core.DefaultFlags()
+	fl.Bind(flag.CommandLine, core.BudgetFlag)
 	var (
 		size       = flag.String("size", "medium", "ladder preset: tiny|small|medium|large")
-		budget     = flag.Uint64("budget", 2_000_000, "retired accesses per measured region")
-		seed       = flag.Int64("seed", 2024, "simulation seed")
 		par        = flag.Int("p", 0, "max concurrent simulations (0: one per core; 1: serial)")
 		quiet      = flag.Bool("quiet", false, "suppress per-run progress")
 		list       = flag.Bool("list", false, "list experiments and workloads, then exit")
@@ -61,17 +58,11 @@ func run() (err error) {
 		csvDir     = flag.String("csv", "", "also write each experiment's data as <dir>/<id>.csv")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at campaign end to this file")
-		virt       = flag.Bool("virt", false, "run every simulation under nested paging (guest tables over a host EPT)")
-		guestPages = flag.String("guest-pages", "", "with -virt: pin the guest page size (4KB|2MB|1GB), overriding each experiment's policy axis")
-		eptPages   = flag.String("ept-pages", "4KB", "with -virt: EPT leaf size (4KB|2MB|1GB)")
 		runIDs     = flag.String("run", "", "experiment id(s) to run, comma-separated (alternative to positional ids)")
-		timeline   = flag.String("timeline", "", "write the campaign's deterministic timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		tlVerify   = flag.Bool("timeline-verify", false, "validate the exported timeline's structure after writing it (requires -timeline)")
 		telem      = flag.String("telemetry", "", `live campaign telemetry: "stderr" for JSONL heartbeats, or a listen address (e.g. :8344) for an HTTP /stats endpoint`)
 		refuteOn   = flag.Bool("refute", false, "check the counter-identity registry on every run unit; print the refutation report and exit nonzero on any violation")
 		refuteOut  = flag.String("refute-out", "", "with -refute: also write the refutation report as JSON to this file")
-		schemeName = flag.String("scheme", "", "translation scheme for every simulation: "+strings.Join(scheme.Names(), "|")+" (default radix)")
-		numaNodes  = flag.Int("numa-nodes", 0, "NUMA nodes (0/1: UMA; >1 enables the NUMA memory model and the deterministic migration schedule; mitosis defaults to 2)")
 		topdownOn  = flag.Bool("topdown", false, "collect per-unit counter deltas and print the top-down cycle attribution tree (campaign-wide plus per scheme group)")
 		topdownAB  = flag.String("topdown-diff", "", `signed attribution delta between two scheme groups, as "A,B" (e.g. radix,victima with the schemes experiment)`)
 	)
@@ -119,9 +110,20 @@ func run() (err error) {
 		exps[i] = exp
 	}
 
-	preset, err := workloads.ParsePreset(*size)
+	cfg := core.DefaultRunConfig()
+	cfg.Preset, err = workloads.ParsePreset(*size)
 	if err != nil {
 		return err
+	}
+	cfg.Parallelism = *par
+	if err := fl.Apply(&cfg); err != nil {
+		return err
+	}
+	if !*quiet {
+		cfg.Log = os.Stderr
+	}
+	if *tlVerify && fl.Timeline == "" {
+		return fmt.Errorf("-timeline-verify requires -timeline")
 	}
 	if *cpuprofile != "" {
 		f, createErr := os.Create(*cpuprofile)
@@ -140,72 +142,22 @@ func run() (err error) {
 			}
 		}()
 	}
-
-	cfg := core.DefaultRunConfig()
-	cfg.Preset = preset
-	cfg.Budget = *budget
-	cfg.Seed = *seed
-	cfg.Parallelism = *par
-	if *virt {
-		cfg.System.Virt = arch.DefaultVirt()
-		cfg.System.Virt.EPTPages, err = arch.ParsePageSize(*eptPages)
-		if err != nil {
-			return fmt.Errorf("-ept-pages: %w", err)
-		}
-	} else if *guestPages != "" {
-		return fmt.Errorf("-guest-pages requires -virt (native runs take the experiments' own page-size policies)")
-	}
-	if *guestPages != "" {
-		gp, err := arch.ParsePageSize(*guestPages)
-		if err != nil {
-			return fmt.Errorf("-guest-pages: %w", err)
-		}
-		cfg.GuestPages = &gp
-	}
-	if *schemeName != "" {
-		if _, err := scheme.ByName(*schemeName); err != nil {
-			return err
-		}
-		cfg.System.Scheme = *schemeName
-	}
-	nodes := *numaNodes
-	if nodes == 0 && cfg.System.Scheme == "mitosis" {
-		nodes = 2 // mitosis is meaningless on UMA; default it to two nodes
-	}
-	cfg.System.NUMA.Nodes = nodes
-	if !*quiet {
-		cfg.Log = os.Stderr
-	}
-	var tracer *telemetry.Tracer
-	if *timeline != "" {
-		tracer = telemetry.New()
-		cfg.Trace = tracer
-	} else if *tlVerify {
-		return fmt.Errorf("-timeline-verify requires -timeline")
-	}
-	var checker *refute.Checker
 	if *refuteOn {
 		// The campaign registry: the base identities plus the attribution
 		// tree's conservation laws, so -refute audits the tree too.
-		checker = core.NewCampaignChecker()
-		cfg.Refute = checker
+		cfg.Refute = core.NewCampaignChecker()
 	} else if *refuteOut != "" {
 		return fmt.Errorf("-refute-out requires -refute")
 	}
-	var collector *core.TopdownCollector
 	if *topdownOn || *topdownAB != "" {
-		collector = core.NewTopdownCollector()
-		cfg.Topdown = collector
+		cfg.Topdown = core.NewTopdownCollector()
 	}
-	var stopTelemetry func()
+	stopTelemetry := func() {}
 	if *telem != "" {
-		hub := telemetry.NewHub()
-		cfg.Events = hub
-		stop, err := startTelemetry(*telem, hub)
-		if err != nil {
+		cfg.Events = telemetry.NewHub()
+		if stopTelemetry, err = startTelemetry(*telem, cfg.Events); err != nil {
 			return err
 		}
-		stopTelemetry = stop
 	}
 	session := core.NewSession(cfg)
 
@@ -256,11 +208,9 @@ func run() (err error) {
 			}
 		}
 	}
-	if stopTelemetry != nil {
-		stopTelemetry()
-	}
-	if collector != nil {
-		block, err := renderTopdown(collector, *topdownOn, *topdownAB)
+	stopTelemetry()
+	if cfg.Topdown != nil {
+		block, err := renderTopdown(cfg.Topdown, *topdownOn, *topdownAB)
 		if err != nil {
 			return err
 		}
@@ -268,8 +218,8 @@ func run() (err error) {
 		fmt.Println(block)
 		rendered.WriteString(block + "\n")
 	}
-	if checker != nil {
-		report := checker.Report()
+	if cfg.Refute != nil {
+		report := cfg.Refute.Report()
 		fmt.Fprintln(os.Stderr, "== refute: counter-identity report")
 		fmt.Println(report.Render())
 		rendered.WriteString(report.Render() + "\n")
@@ -282,10 +232,8 @@ func run() (err error) {
 			return fmt.Errorf("refute: %d identity violation(s) across %d unit(s)", report.TotalViolations, report.Units)
 		}
 	}
-	if tracer != nil {
-		if err := writeTimeline(tracer, *timeline, *tlVerify); err != nil {
-			return err
-		}
+	if err := writeTimeline(&fl, cfg.Trace, *tlVerify); err != nil {
+		return err
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(rendered.String()), 0o644); err != nil {
@@ -293,16 +241,8 @@ func run() (err error) {
 		}
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return core.WriteFile(*memprofile, pprof.WriteHeapProfile)
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"atscale/internal/core"
 	"atscale/internal/telemetry"
 )
 
@@ -78,31 +79,20 @@ func startTelemetry(mode string, hub *telemetry.Hub) (func(), error) {
 	}, nil
 }
 
-// writeTimeline exports the tracer to path and, when verify is set,
-// parses the written file back through the shared structural validator.
-func writeTimeline(tr *telemetry.Tracer, path string, verify bool) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writeTimeline writes the -timeline file and, when verify is set,
+// parses it back through the shared structural validator.
+func writeTimeline(f *core.Flags, tr *telemetry.Tracer, verify bool) error {
+	if err := f.WriteTimeline(tr); err != nil || !verify {
 		return err
 	}
-	if err := tr.Export(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if !verify {
-		return nil
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(f.Timeline)
 	if err != nil {
 		return err
 	}
 	stats, err := telemetry.Validate(data)
 	if err != nil {
-		return fmt.Errorf("timeline %s failed validation: %w", path, err)
+		return fmt.Errorf("timeline %s failed validation: %w", f.Timeline, err)
 	}
-	fmt.Fprintf(os.Stderr, "timeline %s: %s\n", path, stats)
+	fmt.Fprintf(os.Stderr, "timeline %s: %s\n", f.Timeline, stats)
 	return nil
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,20 @@ func TestValidateBoundsCacheTags(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%d sets at %d bytes: %v", sets, cfg.PhysMemBytes, err)
 		}
+	}
+}
+
+// TestValidateAllocatesNothing: the machine pool validates every unit,
+// so a valid config validates without allocating; an L1 TLB's name is
+// built only for its error, which still names the page size.
+func TestValidateAllocatesNothing(t *testing.T) {
+	cfg := DefaultSystem()
+	if n := testing.AllocsPerRun(100, func() { cfg.Validate() }); n != 0 {
+		t.Errorf("DefaultSystem().Validate() allocates %v times, want 0", n)
+	}
+	cfg.L1TLB[Page2M].Ways = 3
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "L1TLB[2MB]") {
+		t.Errorf("bad 2MB L1 TLB gave %v, want an error naming L1TLB[2MB]", err)
 	}
 }
 

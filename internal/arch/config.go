@@ -352,8 +352,10 @@ func DefaultSystem() SystemConfig {
 // machine unbuildable (zero ways, non-power-of-two set counts, etc.).
 func (c *SystemConfig) Validate() error {
 	for ps := Page4K; ps < NumPageSizes; ps++ {
-		if err := c.L1TLB[ps].validate("L1TLB[" + ps.String() + "]"); err != nil {
-			return err
+		// The name is built only for the error: Validate runs once per
+		// pooled unit and allocates nothing on success.
+		if c.L1TLB[ps].validate("L1TLB") != nil {
+			return c.L1TLB[ps].validate("L1TLB[" + ps.String() + "]")
 		}
 	}
 	if err := c.STLB.validate("STLB"); err != nil {

@@ -98,7 +98,8 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 	// enough to pressure the TLBs, small enough to keep the extra
 	// machines cheap. The matrix's first cell (4KB guest / 4KB EPT) is
 	// the ladder's nested mid-rung unit, so it is read from the ladder
-	// rather than simulated again.
+	// rather than simulated again, unless a pinned guest page size other
+	// than 4KB moved the ladder off it.
 	mid := (len(params) - 1) / 2
 	matrix := []struct{ guest, ept arch.PageSize }{
 		{arch.Page4K, arch.Page4K},
@@ -110,10 +111,15 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 	}
 	tenantCounts := []int{1, 2, 4}
 
+	first := 1
+	if cfg.GuestPages != nil && *cfg.GuestPages != arch.Page4K {
+		first = 0
+	}
+
 	// Unit layout: [2*len(params)] ladder (native, nested interleaved),
-	// then the matrix cells after the first, then the tenant runs.
+	// then the matrix cells from first on, then the tenant runs.
 	nSweep := 2 * len(params)
-	nMatrix := len(matrix) - 1
+	nMatrix := len(matrix) - first
 	res := make([]RunResult, nSweep+nMatrix+len(tenantCounts))
 	err = forEachUnit(&cfg, len(res), func(i int) error {
 		u := cfg
@@ -123,13 +129,17 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 			param = params[i/2]
 			if i%2 == 1 {
 				u.System = virtualize(u.System, arch.Page4K)
+			} else {
+				u.System.Virt = arch.VirtConfig{} // native, even in a nested session
 			}
 		case i < nSweep+nMatrix:
-			c := matrix[i-nSweep+1]
+			c := matrix[i-nSweep+first]
 			u.System = virtualize(u.System, c.ept)
 			// The unit name encodes the guest page size but not the
-			// EPT leaf, which the tag adds.
+			// EPT leaf, which the tag adds. The cells are the guest
+			// axis, so a pinned guest page size does not apply.
 			u.UnitTag += " +ept" + c.ept.String()
+			u.GuestPages = nil
 			param, ps = params[mid], c.guest
 		default:
 			virtualizeTenants(&u)
@@ -163,8 +173,8 @@ func VirtExperiment(s *Session) (*VirtResult, error) {
 	}
 	for j, c := range matrix {
 		m := &res[2*mid+1]
-		if j > 0 {
-			m = &res[nSweep+j-1]
+		if j >= first {
+			m = &res[nSweep+j-first]
 		}
 		r.Matrix = append(r.Matrix, VirtMatrixRow{
 			GuestPages:   c.guest,

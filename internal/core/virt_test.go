@@ -8,6 +8,7 @@ import (
 
 	"atscale/internal/arch"
 	"atscale/internal/machine"
+	"atscale/internal/perf"
 	"atscale/internal/telemetry"
 	_ "atscale/internal/workloads/all"
 )
@@ -202,5 +203,46 @@ func TestVirtCampaignTracedParallel(t *testing.T) {
 	}
 	if _, err := telemetry.Validate(buf.Bytes()); err != nil {
 		t.Errorf("virt timeline fails validation: %v", err)
+	}
+}
+
+// TestVirtUnitsDistinctUnderNestedSession: under a session config that
+// is already nested (-virt), alone and with the guest pages pinned
+// (-guest-pages), every virt unit keeps a name of its own, and the
+// ladder's native rungs run native: they book no EPT counters.
+func TestVirtUnitsDistinctUnderNestedSession(t *testing.T) {
+	p4k, p2m := arch.Page4K, arch.Page2M
+	for name, guest := range map[string]*arch.PageSize{"virt": nil, "guest-4KB": &p4k, "guest-2MB": &p2m} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Budget = 20_000
+			cfg.System = virtualize(cfg.System, arch.Page4K)
+			cfg.GuestPages = guest
+			cfg.Events = telemetry.NewHub()
+			cfg.Topdown = NewTopdownCollector()
+			if _, err := VirtExperiment(NewSession(cfg)); err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]bool)
+			native := 0
+			for _, ev := range cfg.Events.History() {
+				if seen[ev.Unit] {
+					t.Errorf("two units named %q", ev.Unit)
+				}
+				seen[ev.Unit] = true
+				if strings.Contains(ev.Unit, "+virt") {
+					continue
+				}
+				native++
+				for _, e := range perf.Events() {
+					if n := cfg.Topdown.units[ev.Unit].Get(e); strings.Contains(e.String(), "ept") && n != 0 {
+						t.Errorf("native unit %q books %s = %d", ev.Unit, e, n)
+					}
+				}
+			}
+			if native != 2 {
+				t.Errorf("%d native units, want the tiny ladder's 2", native)
+			}
+		})
 	}
 }

@@ -174,16 +174,21 @@ type intervalJSON struct {
 	Counts    []uint64 `json:"counts"`
 }
 
+// MarshalJSON encodes the row in its JSONL wire form.
+func (r IntervalRow) MarshalJSON() ([]byte, error) {
+	counts := make([]uint64, NumEvents)
+	for e := Event(0); e < NumEvents; e++ {
+		counts[e] = r.Delta.Get(e)
+	}
+	return json.Marshal(intervalJSON{Index: r.Index, InstStart: r.InstStart, InstEnd: r.InstEnd, Counts: counts})
+}
+
 // WriteIntervalsJSONL encodes rows as JSON Lines.
 func WriteIntervalsJSONL(w io.Writer, rows []IntervalRow) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	counts := make([]uint64, NumEvents)
 	for _, r := range rows {
-		for e := Event(0); e < NumEvents; e++ {
-			counts[e] = r.Delta.Get(e)
-		}
-		if err := enc.Encode(intervalJSON{Index: r.Index, InstStart: r.InstStart, InstEnd: r.InstEnd, Counts: counts}); err != nil {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
 	}

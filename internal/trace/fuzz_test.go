@@ -15,6 +15,7 @@ func FuzzReader(f *testing.F) {
 	w := NewWriter(&buf)
 	w.Malloc(0x10000, 4096)
 	w.Prefault(0x10000)
+	w.emit(KSteady)
 	w.Load(0x10008)
 	w.Store(0x10010)
 	w.Ops(3)
@@ -23,6 +24,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("att1"))
 	f.Add([]byte("att1\xff\xff\xff"))
+	f.Add([]byte{'a', 't', 't', '1', byte(KSteady), byte(KSteady), byte(KLoad)})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

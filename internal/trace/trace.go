@@ -18,6 +18,7 @@ import (
 
 	"atscale/internal/arch"
 	"atscale/internal/machine"
+	"atscale/internal/workloads"
 )
 
 // magic identifies trace files (and their format version).
@@ -42,6 +43,8 @@ const (
 	KMalloc
 	// KPrefault is a setup-phase page materialization; operand: page va.
 	KPrefault
+	// KSteady marks where the measured region starts; no operands.
+	KSteady
 )
 
 // Event is one decoded trace record.
@@ -165,6 +168,7 @@ func (r *Reader) Next() (Event, error) {
 		if e.B, err = binary.ReadUvarint(r.r); err != nil {
 			return Event{}, truncated(err)
 		}
+	case KSteady:
 	default:
 		return Event{}, fmt.Errorf("trace: unknown event kind %d", kb)
 	}
@@ -181,22 +185,28 @@ func truncated(err error) error {
 // Replay feeds a recorded trace to a machine. Allocations are re-executed
 // and verified to land at their recorded addresses (the machine's virtual
 // allocator is deterministic); prefaults re-materialize setup-phase pages
-// quietly; everything else retires as it did when recorded. maxEvents
-// bounds the replay (0 = entire trace). It returns the number of events
-// replayed.
+// quietly; KSteady is skipped; everything else retires as it did when
+// recorded. maxEvents bounds the replay (0 = entire trace). It returns
+// the number of events replayed.
 func Replay(m *machine.Machine, in io.Reader, maxEvents uint64) (uint64, error) {
 	r, err := NewReader(in)
 	if err != nil {
 		return 0, err
 	}
-	var n uint64
-	for maxEvents == 0 || n < maxEvents {
+	n, _, err := play(m, r, maxEvents, false)
+	return n, err
+}
+
+// play replays r's events on m until the trace ends, n reaches maxEvents
+// (0: no bound) or, with toSteady set, it reads KSteady, which it reports.
+func play(m *machine.Machine, r *Reader, maxEvents uint64, toSteady bool) (n uint64, steady bool, err error) {
+	for ; maxEvents == 0 || n < maxEvents; n++ {
 		e, err := r.Next()
 		if errors.Is(err, io.EOF) {
-			return n, nil
+			return n, false, nil
 		}
 		if err != nil {
-			return n, err
+			return n, false, err
 		}
 		switch e.Kind {
 		case KLoad:
@@ -212,16 +222,77 @@ func Replay(m *machine.Machine, in io.Reader, maxEvents uint64) (uint64, error) 
 		case KMalloc:
 			va, err := m.Malloc(e.B)
 			if err != nil {
-				return n, fmt.Errorf("trace: replaying malloc(%d): %w", e.B, err)
+				return n, false, fmt.Errorf("trace: replaying malloc(%d): %w", e.B, err)
 			}
 			if va != arch.VAddr(e.A) {
-				return n, fmt.Errorf("trace: malloc replayed at %#x, recorded %#x (allocator drift)",
+				return n, false, fmt.Errorf("trace: malloc replayed at %#x, recorded %#x (allocator drift)",
 					uint64(va), e.A)
 			}
 		case KPrefault:
 			m.Prefault(arch.VAddr(e.A))
+		case KSteady:
+			if toSteady {
+				return n, true, nil
+			}
 		}
-		n++
 	}
-	return n, nil
+	return n, false, nil
 }
+
+// Record returns an unregistered copy of spec that records its unit into
+// w: Build installs w as the machine's tracer, and the instance writes
+// KSteady where the measured region starts and removes the tracer when
+// it ends. Flush w after the unit.
+func Record(spec *workloads.Spec, w *Writer) *workloads.Spec {
+	rec := *spec
+	rec.Build = func(m *machine.Machine, param uint64) (workloads.Instance, error) {
+		m.SetTracer(w)
+		inst, err := spec.Build(m, param)
+		return recording{inst, m, w}, err
+	}
+	return &rec
+}
+
+type recording struct {
+	workloads.Instance
+	m *machine.Machine
+	w *Writer
+}
+
+func (r recording) Run(budget uint64) {
+	r.w.emit(KSteady)
+	r.Instance.Run(budget)
+	r.m.SetTracer(nil)
+}
+
+// Player replays one trace recorded through Record as a workload unit.
+type Player struct {
+	r *Reader
+	m *machine.Machine
+	// Err is the error the measured region's replay met, if any.
+	Err error
+}
+
+// NewPlayer opens a trace for replay, validating the magic.
+func NewPlayer(in io.Reader) (*Player, error) {
+	r, err := NewReader(in)
+	return &Player{r: r}, err
+}
+
+// Spec returns the unregistered workload "replay-name" that replays the
+// trace once. Its Build replays the recorded set-up, the events before
+// KSteady, and fails on a trace without one; its Run replays the rest,
+// the measured region, whatever the budget.
+func (p *Player) Spec(name string) *workloads.Spec {
+	return &workloads.Spec{Program: "replay", Generator: name,
+		Build: func(m *machine.Machine, _ uint64) (workloads.Instance, error) {
+			p.m = m
+			if _, steady, err := play(m, p.r, 0, true); err != nil || steady {
+				return p, err
+			}
+			return nil, errors.New("trace: no KSteady event marks the measured region")
+		}}
+}
+
+// Run replays the measured region; it implements workloads.Instance.
+func (p *Player) Run(uint64) { _, _, p.Err = play(p.m, p.r, 0, false) }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"atscale/internal/arch"
+	"atscale/internal/core"
 	"atscale/internal/machine"
 	"atscale/internal/perf"
 	"atscale/internal/workloads"
@@ -21,7 +23,7 @@ func TestRoundTripEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var want []Event
 	for i := 0; i < 5000; i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			va := arch.VAddr(rng.Uint64() >> 16)
 			w.Load(va)
@@ -47,6 +49,9 @@ func TestRoundTripEncoding(t *testing.T) {
 			va, n := arch.VAddr(rng.Uint64()>>20), uint64(rng.Intn(1<<20))
 			w.Malloc(va, n)
 			want = append(want, Event{KMalloc, uint64(va), n})
+		case 5:
+			w.emit(KSteady)
+			want = append(want, Event{KSteady, 0, 0})
 		default:
 			va := arch.VAddr(rng.Uint64() >> 16 &^ 0xFFF)
 			w.Prefault(va)
@@ -98,47 +103,90 @@ func TestTruncatedTrace(t *testing.T) {
 	}
 }
 
-// TestRecordReplayCounterIdentity is the headline property: replaying a
-// recorded run on an identically configured fresh machine reproduces the
-// recorded machine's counters exactly.
+// TestRecordReplayCounterIdentity is the headline property: a unit
+// recorded through core.Run, replayed through core.Run on an identically
+// configured machine, reproduces the recorded unit's measured counters
+// exactly, with the counter identities holding on both runs. Native 4KB
+// and 2MB, nested, hashed and Victima machines are covered.
 func TestRecordReplayCounterIdentity(t *testing.T) {
 	spec, err := workloads.ByName("bfs-urand")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := machine.New(arch.DefaultSystem(), arch.Page4K, 9)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		pages arch.PageSize
+		set   func(*arch.SystemConfig)
+	}{
+		{"4KB", arch.Page4K, func(*arch.SystemConfig) {}},
+		{"2MB", arch.Page2M, func(*arch.SystemConfig) {}},
+		{"virt", arch.Page4K, func(s *arch.SystemConfig) { s.Virt = arch.DefaultVirt() }},
+		{"hashed", arch.Page4K, func(s *arch.SystemConfig) { s.PageTable = "hashed" }},
+		{"victima", arch.Page4K, func(s *arch.SystemConfig) { s.Scheme = "victima" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := core.DefaultRunConfig()
+			cfg.Budget, cfg.Seed = 80_000, 9
+			c.set(&cfg.System)
+			cfg.Refute = core.NewCampaignChecker()
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			rec, err := core.Run(&cfg, Record(spec, w), 12, c.pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			// Replay, which skips KSteady, replays every event.
+			m, err := machine.New(cfg.System, c.pages, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Release()
+			if n, err := Replay(m, bytes.NewReader(raw), 0); err != nil || n != w.Events() {
+				t.Fatalf("Replay replayed %d of %d events: %v", n, w.Events(), err)
+			}
+			p, err := NewPlayer(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := core.Run(&cfg, p.Spec("bfs"), 0, c.pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Err != nil {
+				t.Fatal(p.Err)
+			}
+			if rec.Counters.Get(perf.InstRetired) == 0 {
+				t.Fatal("recorded unit retired no instructions")
+			}
+			if rec.Counters != rep.Counters {
+				t.Error("replayed unit's counters differ from the recorded unit's")
+			}
+			if rec.Footprint != rep.Footprint {
+				t.Errorf("footprints differ: %d vs %d", rec.Footprint, rep.Footprint)
+			}
+			if r := cfg.Refute.Report(); r.Units != 2 || r.TotalViolations != 0 {
+				t.Errorf("refute report: %d units, %d violations; want 2 units, none violated", r.Units, r.TotalViolations)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	rec.SetTracer(w)
-	inst, err := spec.Build(rec, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Run(80_000)
-	rec.SetTracer(nil)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	rep, err := machine.New(arch.DefaultSystem(), arch.Page4K, 9)
+// TestPlayerNeedsSteady: a trace with no KSteady event does not say where
+// the measured region starts, so its replay fails to build rather than
+// guessing.
+func TestPlayerNeedsSteady(t *testing.T) {
+	raw, _ := recordMix(t, func(_ *machine.Machine, f func()) { f() })
+	p, err := NewPlayer(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Replay(rep, &buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != w.Events() {
-		t.Fatalf("replayed %d of %d events", n, w.Events())
-	}
-	if rec.Counters() != rep.Counters() {
-		t.Error("replay counters differ from recording")
-	}
-	if rec.Footprint() != rep.Footprint() {
-		t.Errorf("footprints differ: %d vs %d", rec.Footprint(), rep.Footprint())
+	cfg := core.DefaultRunConfig()
+	if _, err := core.Run(&cfg, p.Spec("mix"), 0, arch.Page4K); err == nil || !strings.Contains(err.Error(), "KSteady") {
+		t.Errorf("replaying a trace without KSteady gave %v, want a missing-KSteady error", err)
 	}
 }
 
