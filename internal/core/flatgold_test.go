@@ -37,8 +37,8 @@ const flatgoldDir = "testdata/flatgold"
 // and 2 MB EPT leaves, 2 MB guest pages over 1 GB EPT leaves), mitosis
 // replicas on two NUMA nodes, Victima's PTE blocks, and WCPI-guided
 // promotion (which exercises machine-internal state the quiet path
-// caches). The mcf cases pin an input most of whose pages the measured
-// region never reads.
+// caches). The mcf and kron cases pin inputs most of whose pages the
+// measured region never reads.
 type flatgoldCase struct {
 	name     string
 	workload string
@@ -102,6 +102,12 @@ func flatgoldCases() []flatgoldCase {
 		// budget's pricing scan reads the first few dozen of them.
 		{name: "mcf-4k", workload: "mcf-rand", param: 1 << 15, ps: arch.Page4K},
 		{name: "mcf-victima", workload: "mcf-rand", param: 1 << 15, ps: arch.Page4K,
+			mutate: func(c *RunConfig) { c.System.Scheme = "victima" }},
+		// At scale 15 the kron CSR's neighbour array spans 1 724 pages,
+		// of which the budget's traversals read a fraction; tc's runs on
+		// the degree-relabelled graph.
+		{name: "bc-kron-4k", workload: "bc-kron", param: 15, ps: arch.Page4K},
+		{name: "tc-kron-victima", workload: "tc-kron", param: 15, ps: arch.Page4K,
 			mutate: func(c *RunConfig) { c.System.Scheme = "victima" }},
 	}
 }
