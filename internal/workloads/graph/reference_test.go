@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -30,24 +31,29 @@ func refGenKron(scale uint64, rng *workloads.RNG) []edge {
 	m := degree * n
 	edges := make([]edge, 0, m)
 	for i := uint64(0); i < m; i++ {
-		var u, v uint64
-		for bit := uint64(0); bit < scale; bit++ {
-			p := rng.Float64()
-			switch {
-			case p < kronA:
-				// top-left: no bits set
-			case p < kronA+kronB:
-				v |= 1 << bit
-			case p < kronA+kronB+kronC:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
-		edges = append(edges, edge{uint32(u), uint32(v)})
+		edges = append(edges, refKronEdge(scale, rng))
 	}
 	return edges
+}
+
+// refKronEdge draws one R-MAT edge, one float draw per bit.
+func refKronEdge(scale uint64, rng *workloads.RNG) edge {
+	var u, v uint64
+	for bit := uint64(0); bit < scale; bit++ {
+		p := rng.Float64()
+		switch {
+		case p < kronA:
+			// top-left: no bits set
+		case p < kronA+kronB:
+			v |= 1 << bit
+		case p < kronA+kronB+kronC:
+			u |= 1 << bit
+		default:
+			u |= 1 << bit
+			v |= 1 << bit
+		}
+	}
+	return edge{uint32(u), uint32(v)}
 }
 
 func refBuildHostCSR(n uint64, edges []edge) hostCSR {
@@ -168,6 +174,53 @@ func TestGeneratorsMatchReference(t *testing.T) {
 			sameCSR(t, what+" relabelled", got.relabelByDegree(), refRelabelByDegree(want))
 		}
 	}
+}
+
+// TestKronThresholds holds kronEdges' integer thresholds to the float
+// comparisons of the reference generator, at each threshold and on
+// either side of it.
+func TestKronThresholds(t *testing.T) {
+	for _, c := range []struct {
+		p float64
+		k uint64
+	}{{kronA, kronTA}, {kronA + kronB, kronTAB}, {kronA + kronB + kronC, kronTABC}} {
+		if want := uint64(math.Ceil(c.p * (1 << 53))); c.k != want {
+			t.Errorf("threshold for %v is %d, want ceil(p·2^53) = %d", c.p, c.k, want)
+		}
+		for _, k := range []uint64{c.k - 1, c.k, c.k + 1} {
+			if below, lt := float64(k)/(1<<53) < c.p, k < c.k; below != lt {
+				t.Errorf("draw k=%d: float compare with %v says %v, integer compare says %v", k, c.p, below, lt)
+			}
+		}
+	}
+}
+
+// TestKronEdgesWideScales draws edges at scales up to 32, where u and v
+// fill the word kronEdges packs them in, against the reference draws,
+// and requires the stream to end scale draws per edge on. Above 32 the
+// vertex IDs no longer fit, and kronEdges panics.
+func TestKronEdgesWideScales(t *testing.T) {
+	for _, scale := range []uint64{1, 2, 17, 31, 32} {
+		const edges = 200
+		rng, ref := *workloads.NewRNG(scale), *workloads.NewRNG(scale)
+		pairs := make([]uint32, 2*edges)
+		kronEdges(pairs, scale, &rng)
+		for i := 0; i < edges; i++ {
+			if e := refKronEdge(scale, &ref); pairs[2*i] != e.u || pairs[2*i+1] != e.v {
+				t.Fatalf("scale %d edge %d: got (%d,%d), want (%d,%d)", scale, i, pairs[2*i], pairs[2*i+1], e.u, e.v)
+			}
+		}
+		if rng != ref {
+			t.Errorf("scale %d: the stream did not end %d draws on", scale, edges*scale)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("kronEdges at scale 33 did not panic")
+		}
+	}()
+	rng := *workloads.NewRNG(1)
+	kronEdges(make([]uint32, 2), 33, &rng)
 }
 
 // TestHalvesMatchReference runs every build step's two halves one after

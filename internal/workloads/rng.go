@@ -20,11 +20,21 @@ func NewRNG(seed uint64) *RNG {
 
 // Next returns the next 64-bit value.
 func (r *RNG) Next() uint64 {
+	var z uint64
+	*r, z = r.Draw()
+	return z
+}
+
+// Draw returns the generator one draw on and the value Next would
+// return. A loop that keeps a generator in a local variable and draws
+// with r, x = r.Draw() can keep its state in a register, where calling
+// Next on it stores the state on every draw.
+func (r RNG) Draw() (RNG, uint64) {
 	r.s += gamma
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return r, z ^ (z >> 31)
 }
 
 // Skip advances the generator past k draws in constant time: the state
