@@ -17,8 +17,11 @@ type CSR struct {
 	nbr  workloads.Array // M entries
 }
 
-// loadCSR allocates guest arrays and pokes the host CSR into them
-// (untimed setup).
+// loadCSR allocates guest arrays and pokes the host CSR's offsets into
+// them (untimed setup). The neighbours are deferred: a unit's traversals
+// read a few percent of a kron graph's neighbour pages, and the host CSR
+// they are staged from never changes once built, and stays cached for
+// the process (genCache).
 func loadCSR(m *machine.Machine, h hostCSR) (*CSR, error) {
 	off, err := workloads.NewArray(m, h.n+1)
 	if err != nil {
@@ -29,7 +32,7 @@ func loadCSR(m *machine.Machine, h hostCSR) (*CSR, error) {
 		return nil, err
 	}
 	off.PokeRun(0, h.off)
-	workloads.FillRuns(uint64(len(h.nbr)), func(s uint64, runs [][]uint64) {
+	workloads.DeferRuns(uint64(len(h.nbr)), func(s uint64, runs [][]uint64) {
 		for j, v := range h.nbr[s : s+uint64(len(runs[0]))] {
 			runs[0][j] = uint64(v)
 		}
