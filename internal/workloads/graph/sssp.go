@@ -26,8 +26,12 @@ func newSSSP(m *machine.Machine, g *CSR) (workloads.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := workloads.NewRNG(g.M ^ 0x555)
-	workloads.FillRuns(g.M, func(_ uint64, runs [][]uint64) {
+	// Weight e is draw e of its stream, so the weights are deferred: a
+	// unit's relaxations read a few percent of their pages.
+	weights := *workloads.NewRNG(g.M ^ 0x555)
+	workloads.DeferRuns(g.M, func(s uint64, runs [][]uint64) {
+		rng := weights
+		rng.Skip(s)
 		for j := range runs[0] {
 			runs[0][j] = rng.Intn(255) + 1
 		}

@@ -179,3 +179,32 @@ func TestMicroWorkloadsRunUnderBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestHashJoinProbeKeysReadBack reads every deferred probe key back,
+// from the last one, against the build and probe streams drawn in order.
+func TestHashJoinProbeKeysReadBack(t *testing.T) {
+	const nbuild = 1 << 12
+	inst, err := newHashJoin(newM(t), nbuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := inst.(*hashjoin)
+	rng := workloads.NewRNG(nbuild ^ 0x4a014a)
+	buildKeys := make([]uint64, nbuild)
+	for i := range buildKeys {
+		buildKeys[i] = rng.Next()
+	}
+	want := make([]uint64, probeFactor*nbuild)
+	for i := range want {
+		if rng.Float64() < matchShare {
+			want[i] = buildKeys[rng.Intn(nbuild)]
+		} else {
+			want[i] = rng.Next() | 1<<63
+		}
+	}
+	for i := uint64(len(want)); i > 0; i-- {
+		if got := h.probeKeys.Peek(i - 1); got != want[i-1] {
+			t.Fatalf("probe key %d reads %#x, want %#x", i-1, got, want[i-1])
+		}
+	}
+}

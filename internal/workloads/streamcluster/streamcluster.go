@@ -52,9 +52,16 @@ func newCluster(m *machine.Machine, npoints uint64) (*cluster, error) {
 	if c.centers, err = workloads.NewArray(m, maxCenters*dim); err != nil {
 		return nil, err
 	}
-	workloads.FillRuns(npoints*dim, func(_ uint64, runs [][]uint64) {
+	// Word i of the points is draw i of the stream, so the points are
+	// deferred: a unit's stream and gain samples read a few percent of
+	// their pages. Run draws on from after the last point.
+	points := *c.rng
+	c.rng.Skip(npoints * dim)
+	workloads.DeferRuns(npoints*dim, func(s uint64, runs [][]uint64) {
+		rng := points
+		rng.Skip(s)
 		for j := range runs[0] {
-			runs[0][j] = math.Float64bits(c.rng.Float64())
+			runs[0][j] = math.Float64bits(rng.Float64())
 		}
 	}, c.points)
 	// Seed the first center with point 0.

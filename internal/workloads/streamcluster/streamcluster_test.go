@@ -1,6 +1,7 @@
 package streamcluster
 
 import (
+	"math"
 	"testing"
 
 	"atscale/internal/arch"
@@ -71,5 +72,26 @@ func TestScanDominantMix(t *testing.T) {
 func TestRegistered(t *testing.T) {
 	if _, err := workloads.ByName("streamcluster-rand"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPointsReadBack reads every deferred point word back, from the last
+// one, against the stream drawn in order, and requires Run's generator
+// to draw on from after the last point.
+func TestPointsReadBack(t *testing.T) {
+	const n = 1024
+	_, c := newC(t, n)
+	rng := workloads.NewRNG(n ^ 0x7363)
+	want := make([]uint64, n*dim)
+	for i := range want {
+		want[i] = math.Float64bits(rng.Float64())
+	}
+	for i := uint64(len(want)); i > 0; i-- {
+		if got := c.points.Peek(i - 1); got != want[i-1] {
+			t.Fatalf("point word %d reads %#x, want %#x", i-1, got, want[i-1])
+		}
+	}
+	if got, want := c.rng.Intn(c.npoints), rng.Intn(n); got != want {
+		t.Errorf("first draw after the build: %d, want %d", got, want)
 	}
 }
