@@ -38,6 +38,15 @@ func run() (err error) {
 	)
 	flag.Parse()
 
+	var stats graph.Stats
+	if *gen == "urand" || *gen == "kron" {
+		// A scale too large to build fails here, before -o's file is
+		// created.
+		if stats, err = graph.GraphStats(*gen, *scale); err != nil {
+			return err
+		}
+	}
+
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, createErr := os.Create(*out)
@@ -59,9 +68,8 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		s := graph.GraphStats(*gen, *scale)
 		fmt.Fprintf(os.Stderr, "%s scale %d: %d vertices, %d undirected edges, max degree %d\n",
-			*gen, *scale, s.Vertices, edges, s.MaxDegree)
+			*gen, *scale, stats.Vertices, edges, stats.MaxDegree)
 		return nil
 	case "ycsb":
 		rng := workloads.NewRNG(*keys ^ 0x79637362)

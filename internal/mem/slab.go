@@ -12,7 +12,8 @@ import (
 // the slab size bounds the number of mappings, not host memory.
 const slabBytes = 32 << 20
 
-// hugeBytes is the alignment of mapped slabs, the 2 MB huge page.
+// hugeBytes is the alignment of mapped slabs and scratch, the 2 MB huge
+// page.
 const hugeBytes = 2 << 20
 
 // heapSlabChunks is the size of a slab allocated with make when no
@@ -31,9 +32,10 @@ var mapSlab = platformMapSlab
 var hostMapped atomic.Int64
 
 // HostMappedBytes returns how many bytes of address space the process
-// holds mapped outside the Go heap for Phys and Words backing; only the
-// huge pages chunks were carved from are resident. The Go runtime's memory
-// statistics do not include them.
+// holds mapped outside the Go heap: Phys and Words backing, of which only
+// the huge pages chunks were carved from are resident, and the MapScratch
+// arrays not yet freed, such as a graph build's scratch while it runs.
+// The Go runtime's memory statistics do not include them.
 func HostMappedBytes() int64 { return hostMapped.Load() }
 
 // host is the host memory a Phys, and the Words made from it, carve

@@ -49,6 +49,9 @@ func (g *CSR) Nbr(e uint64) uint64 { return g.nbr.Get(e) }
 // graphBuilder adapts a kernel constructor into a workloads.BuildFunc.
 func graphBuilder(gen string, mk func(*machine.Machine, *CSR) (workloads.Instance, error)) workloads.BuildFunc {
 	return func(m *machine.Machine, scale uint64) (workloads.Instance, error) {
+		if err := checkScale(scale); err != nil {
+			return nil, err
+		}
 		g, err := loadCSR(m, generate(gen, scale))
 		if err != nil {
 			return nil, err
@@ -91,6 +94,9 @@ func init() {
 			Kind:      "graph processing (MT)",
 			Ladder:    graphLadder,
 			Build: func(m *machine.Machine, scale uint64) (workloads.Instance, error) {
+				if err := checkScale(scale); err != nil {
+					return nil, err
+				}
 				g, err := loadCSR(m, generateRelabeled(gen, scale))
 				if err != nil {
 					return nil, err

@@ -11,7 +11,11 @@ import (
 // — the standalone input-generator surface (cmd/atgen), mirroring how
 // gapbs inputs can be dumped to .el files. Self-loops and duplicate
 // edges are already gone, so the line count is half the CSR's entries.
+// A scale beyond the largest buildable one is an error.
 func WriteEdgeList(w io.Writer, gen string, scale uint64) (int, error) {
+	if err := checkScale(scale); err != nil {
+		return 0, err
+	}
 	h := generate(gen, scale)
 	bw := bufio.NewWriter(w)
 	edges := 0
@@ -38,8 +42,12 @@ type Stats struct {
 	MaxDegree     uint64
 }
 
-// GraphStats regenerates a graph and summarizes it.
-func GraphStats(gen string, scale uint64) Stats {
+// GraphStats regenerates a graph and summarizes it. A scale beyond the
+// largest buildable one is an error.
+func GraphStats(gen string, scale uint64) (Stats, error) {
+	if err := checkScale(scale); err != nil {
+		return Stats{}, err
+	}
 	h := generate(gen, scale)
 	s := Stats{Vertices: h.n, DirectedEdges: uint64(len(h.nbr))}
 	for u := uint64(0); u < h.n; u++ {
@@ -47,5 +55,5 @@ func GraphStats(gen string, scale uint64) Stats {
 			s.MaxDegree = d
 		}
 	}
-	return s
+	return s, nil
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"atscale/internal/mem"
 	"atscale/internal/workloads"
 )
 
@@ -21,6 +22,29 @@ const (
 	kronB = 0.19
 	kronC = 0.19
 )
+
+// maxScale is the largest scale a graph input is built at. Scale 27's
+// 2·degree<<27 endpoint slots reach 2^32, beyond buildHostCSR's uint32
+// cursors, and its pair buffer alone would take 16 GiB.
+const maxScale = 26
+
+// checkScale rejects a scale beyond maxScale. Every entry point that
+// builds an input calls it before allocating anything: the scale comes
+// from outside the program (the CLIs' -param and atgen's -scale).
+func checkScale(scale uint64) error {
+	if scale > maxScale {
+		return fmt.Errorf("graph: scale %d is beyond the largest buildable graph, scale %d", scale, maxScale)
+	}
+	return nil
+}
+
+// scratch returns a zeroed array of n words that a build needs only
+// until one of its steps is done, and the function that frees it. Arrays
+// of a huge page or more are mapped outside the Go heap
+// (mem.MapScratch), so their pages leave the resident set when freed,
+// where dead heap stays resident until a collection frees it and the
+// scavenger returns its pages. Tests swap it to count what a build frees.
+var scratch = mem.MapScratch[uint32]
 
 // inHalves runs the two halves of one build step, step(s, 0) and
 // step(s, 1), concurrently and returns once both are done. Every step of
@@ -204,11 +228,16 @@ type csrState struct {
 // dedupe split the vertices where off reaches half the entries, not at
 // n/2, because kron degrees are skewed toward low IDs. The cursors are
 // uint32, so an input must stay below 2^32 endpoint slots.
+//
+// The cursors and the unsorted rows are scratch, freed once the
+// transpose is done. The result's off and nbr stay on the Go heap:
+// genCache keeps them, and loadCSR's deferred neighbour fills read them
+// for the rest of the process.
 func buildHostCSR(n uint64, pairs []uint32) hostCSR {
 	if uint64(len(pairs)) >= 1<<32 {
 		panic(fmt.Sprintf("graph: %d endpoint slots reach 2^32, beyond the CSR build's uint32 cursors", len(pairs)))
 	}
-	cur := make([]uint32, 2*n)
+	cur, freeCur := scratch(int(2 * n))
 	s := &csrState{n: n, pairs: pairs, fwd: cur[:n:n], bwd: cur[n:]}
 	inHalves(s, (*csrState).count)
 	s.off = make([]uint64, n+1)
@@ -216,12 +245,18 @@ func buildHostCSR(n uint64, pairs []uint32) hostCSR {
 		s.off[u+1] = s.off[u] + uint64(s.fwd[u]) + uint64(s.bwd[u])
 	}
 	s.cursors()
-	s.rows = make([]uint32, s.off[n])
+	rows, freeRows := scratch(int(s.off[n]))
+	s.rows = rows
 	inHalves(s, (*csrState).scatterRows)
 	s.cursors()
 	mid, _ := slices.BinarySearch(s.off, s.off[n]/2)
 	s.mid, s.start = uint64(mid), s.off[mid]
 	inHalves(s, (*csrState).transpose)
+	// Both halves of the transpose are done, and nothing after it reads
+	// the rows or the cursors.
+	s.rows, s.fwd, s.bwd = nil, nil, nil
+	freeRows()
+	freeCur()
 	inHalves(s, (*csrState).dedupe)
 	// The first half's rows end at off[mid]; the second's start at start.
 	off, nbr := s.off, s.pairs
@@ -344,7 +379,7 @@ type relabelState struct {
 // The scatter runs in halves like buildHostCSR's transpose, split at
 // the new ID where out.off reaches half the entries: the first half
 // uses out.off itself as its forward cursors, the second a uint32 array
-// of backward ones.
+// of backward ones. newID, order and the backward cursors are scratch.
 func (g hostCSR) relabelByDegree() hostCSR {
 	deg := func(u uint64) uint64 { return g.off[u+1] - g.off[u] }
 	var maxDeg uint64
@@ -362,8 +397,8 @@ func (g hostCSR) relabelByDegree() hostCSR {
 		first[d-1] = sum
 		sum += c
 	}
-	newID := make([]uint32, g.n)
-	order := make([]uint32, g.n)
+	newID, freeNewID := scratch(int(g.n))
+	order, freeOrder := scratch(int(g.n))
 	for u := uint64(0); u < g.n; u++ {
 		id := first[deg(u)]
 		first[deg(u)]++
@@ -378,14 +413,17 @@ func (g hostCSR) relabelByDegree() hostCSR {
 	}
 	offsets()
 	mid, _ := slices.BinarySearch(out.off, out.off[g.n]/2)
-	bwd := make([]uint32, g.n)
+	bwd, freeBwd := scratch(int(g.n))
 	for id := range bwd {
 		bwd[id] = uint32(out.off[id+1])
 	}
 	s := &relabelState{g: g, out: out, newID: newID, order: order, bwd: bwd, mid: mid}
 	inHalves(s, (*relabelState).scatter)
+	freeNewID()
+	freeBwd()
 	// The forward cursors stopped where the backward ones did, mid-row.
 	offsets()
+	freeOrder()
 	return out
 }
 
@@ -415,8 +453,11 @@ func (s *relabelState) scatter(h int) {
 // genCache memoizes host CSRs: the overhead methodology rebuilds the same
 // instance for the 4 KB, 2 MB and 1 GB runs, several kernels share each
 // generated graph, and regeneration dominates setup time at large scales.
-// Total cache size across both generators and all ladder scales is a few
-// hundred megabytes of host memory.
+// An entry holds 136 bytes per vertex, the offsets and the whole pair
+// buffer its neighbours live in: 0.53 MiB at scale 12, 34 MiB at 18 and
+// 136 MiB at 20. A relabelled entry is as large for urand and about 94%
+// of it for kron. Every ladder rung of both generators, plain and
+// relabelled, comes to about 1 GiB of host memory.
 //
 // Concurrent run units (the core campaign scheduler builds instances from
 // many goroutines) coalesce per key: the first requester generates, later

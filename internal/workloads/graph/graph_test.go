@@ -138,6 +138,43 @@ func TestAllKernelsRegistered(t *testing.T) {
 	}
 }
 
+// TestScaleBeyondLimitRejected: every entry point that builds an input
+// returns an error naming the largest buildable scale for a scale above
+// it, before allocating anything (a scale-27 input's pairs alone would
+// take 16 GiB).
+func TestScaleBeyondLimitRejected(t *testing.T) {
+	m, err := machine.New(arch.DefaultSystem(), arch.Page4K, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scale %d", maxScale)) {
+			t.Errorf("%s at scale %d: error %v, want one naming scale %d", what, maxScale+1, err, maxScale)
+		}
+	}
+	for _, prog := range []string{"bc", "bfs", "cc", "pr", "tc", "sssp"} {
+		for _, gen := range []string{"urand", "kron"} {
+			spec, err := workloads.ByName(prog + "-" + gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = spec.Build(m, maxScale+1)
+			check(spec.Name()+" Build", err)
+		}
+	}
+	for _, gen := range []string{"urand", "kron"} {
+		var buf bytes.Buffer
+		n, err := WriteEdgeList(&buf, gen, maxScale+1)
+		check(gen+" WriteEdgeList", err)
+		if n != 0 || buf.Len() != 0 {
+			t.Errorf("%s WriteEdgeList wrote %d edges, %d bytes, before failing", gen, n, buf.Len())
+		}
+		_, err = GraphStats(gen, maxScale+1)
+		check(gen+" GraphStats", err)
+	}
+}
+
 // TestKernelsRunAndCount runs every kernel at tiny scale and checks the
 // measured region produced a plausible counter profile.
 func TestKernelsRunAndCount(t *testing.T) {
